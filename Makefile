@@ -2,9 +2,11 @@
 
 .PHONY: check vet test race bench bench-json bench-guard run-landscaped smoke-landscaped smoke-crash smoke-chaos smoke-overload smoke-shard smoke-replica smoke-poison fuzz-smoke
 
-# Label for bench-json measurement campaigns; override per campaign:
-#   make bench-json LABEL=post-pr9
-LABEL ?= post-pr8
+# Every recipe that backgrounds a daemon first arms KILL_ON_EXIT: the
+# shell SIGKILLs the PIDs it names when the recipe exits, fails or is
+# interrupted, so no smoke leaves a daemon running.
+KILL_ON_EXIT = DPID= PRIM= FOLL=; \
+	trap 'kill -KILL $$DPID $$PRIM $$FOLL 2>/dev/null' EXIT; trap 'exit 1' HUP INT TERM
 
 check: vet test race
 
@@ -27,7 +29,10 @@ bench:
 # the streaming-service ingest throughput (BENCH_stream.json), and the
 # adversarial poisoning validity sweep (BENCH_poison.json); entries from
 # other labels, e.g. the committed pre-PR baselines, are preserved.
+# LABEL is required, so rows never land under a stale label:
+#   make bench-json LABEL=post-pr9
 bench-json:
+	$(if $(LABEL),,$(error bench-json needs a campaign label, e.g. make bench-json LABEL=post-pr9))
 	go run ./cmd/benchjson -label $(LABEL) -o BENCH_bcluster.json -stream-o BENCH_stream.json -poison-o BENCH_poison.json
 
 # Superlinearity canary: replay the n=1k and n=10k stream corpora and
@@ -48,6 +53,7 @@ run-landscaped:
 smoke-landscaped:
 	go run ./cmd/landscaped -replay -small
 	go build -o /tmp/landscaped-smoke ./cmd/landscaped
+	$(KILL_ON_EXIT); \
 	/tmp/landscaped-smoke -small -addr 127.0.0.1:18901 & \
 	DPID=$$!; sleep 2; \
 	/tmp/landscaped-smoke -small -replay-to http://127.0.0.1:18901 -batch 200 && \
@@ -63,6 +69,7 @@ smoke-landscaped:
 smoke-crash:
 	go build -o /tmp/landscaped-crash ./cmd/landscaped
 	rm -rf /tmp/landscaped-crash-wal && mkdir -p /tmp/landscaped-crash-wal
+	$(KILL_ON_EXIT); \
 	/tmp/landscaped-crash -small -addr 127.0.0.1:18902 \
 		-wal-dir /tmp/landscaped-crash-wal -checkpoint-every 2 & \
 	DPID=$$!; \
@@ -94,6 +101,7 @@ smoke-chaos:
 	go test -count=1 -v ./internal/chaos/
 	go build -o /tmp/landscaped-chaos ./cmd/landscaped
 	rm -rf /tmp/landscaped-chaos-wal && mkdir -p /tmp/landscaped-chaos-wal
+	$(KILL_ON_EXIT); \
 	/tmp/landscaped-chaos -small -addr 127.0.0.1:18905 \
 		-wal-dir /tmp/landscaped-chaos-wal -checkpoint-every 2 -wal-nosync \
 		-fault-seed 6 -fault-rate 0.25 -fault-max 6 & \
@@ -148,6 +156,7 @@ smoke-replica:
 	go test -count=1 -run TestReplicaFanoutSmoke -v ./internal/loadgen/
 	go build -o /tmp/landscaped-repl ./cmd/landscaped
 	rm -rf /tmp/landscaped-repl-wal && mkdir -p /tmp/landscaped-repl-wal
+	$(KILL_ON_EXIT); \
 	/tmp/landscaped-repl -small -addr 127.0.0.1:18903 -repl \
 		-wal-dir /tmp/landscaped-repl-wal -checkpoint-every 2 -wal-nosync & \
 	PRIM=$$!; \

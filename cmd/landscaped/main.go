@@ -478,7 +478,7 @@ func serveFollower(scenario core.Scenario, cfg stream.Config, o options) error {
 	initErr := make(chan error, 1)
 	go func() {
 		start := time.Now()
-		_, _, pipe, err := core.Prepare(scenario)
+		_, pipe, err := core.NewPipeline(scenario)
 		if err != nil {
 			initErr <- err
 			return
@@ -636,7 +636,7 @@ func serve(scenario core.Scenario, cfg stream.Config, shards int, addr string, r
 	initErr := make(chan error, 1)
 	go func() {
 		start := time.Now()
-		_, _, pipe, err := core.Prepare(scenario)
+		_, pipe, err := core.NewPipeline(scenario)
 		if err != nil {
 			initErr <- err
 			return

@@ -123,8 +123,10 @@ type Result struct {
 type Stats struct {
 	// Samples is the input size.
 	Samples int
-	// CandidatePairs is the number of LSH-proposed pairs (equals all pairs
-	// for the exact baseline).
+	// CandidatePairs is the number of pairs whose exact Jaccard was
+	// computed: the LSH-proposed pairs that component pruning, the size
+	// bound (sizesCannotLink) and the failed-pair memo let through. It
+	// equals all pairs for the exact baseline.
 	CandidatePairs int
 	// Links is the number of pairs whose exact similarity passed the
 	// threshold.
@@ -156,7 +158,8 @@ func (r *Result) Singletons() []Cluster {
 // behavior.FeatureSet and computes its MinHash signature from the
 // precomputed feature hashes. (2) Per LSH band, a bucket scan proposes
 // candidate pairs: buckets whose members already share one union-find
-// component are skipped after a single linear root scan, and pairs that
+// component are skipped after a single linear root scan, pairs whose
+// sizes alone rule out a link are rejected in O(1), and pairs that
 // failed verification in an earlier band are deduplicated via packed
 // uint64(i)<<32|j keys. (3) The remaining multi-component buckets are
 // verified by a bounded worker pool computing merge-based exact Jaccard;
@@ -325,10 +328,10 @@ func newBucketScratch() *bucketScratch {
 // verifyBucket replays the serial implementation's scan over one bucket:
 // pairs are visited in member order, pairs whose endpoints already share
 // a component (from previous bands, or merged earlier in this bucket)
-// are skipped, previously failed pairs are skipped, and every other pair
-// is verified by exact Jaccard over the interned feature sets. The
-// verdict depends only on the band-start roots and the failed set, never
-// on scheduling.
+// are skipped, pairs the size bound rules out and previously failed
+// pairs are skipped, and every other pair is verified by exact Jaccard
+// over the interned feature sets. The verdict depends only on the
+// band-start roots and the failed set, never on scheduling.
 func verifyBucket(members []int, roots []int, sets []behavior.FeatureSet, failed map[uint64]struct{}, threshold float64, s *bucketScratch) bucketVerdict {
 	clear(s.index)
 	s.parent = s.parent[:0]
@@ -359,6 +362,9 @@ func verifyBucket(members []int, roots []int, sets []behavior.FeatureSet, failed
 				continue
 			}
 			i, j := members[a], members[b]
+			if sizesCannotLink(len(sets[i]), len(sets[j]), threshold) {
+				continue
+			}
 			key := uint64(i)<<32 | uint64(j)
 			if _, seen := failed[key]; seen {
 				continue
@@ -373,6 +379,16 @@ func verifyBucket(members []int, roots []int, sets []behavior.FeatureSet, failed
 		}
 	}
 	return v
+}
+
+// sizesCannotLink reports whether feature sets of sizes a and b are too
+// unequal to reach Jaccard t: |A∩B| ≤ min and |A∪B| ≥ max, so J ≤
+// min/max. It divides in float64 as FeatureSet.Jaccard does, and
+// rounding is monotone, so it never rejects a pair that would link
+// (DESIGN.md §6). Two empty sets have Jaccard 1 and are exempt.
+func sizesCannotLink(a, b int, t float64) bool {
+	lo, hi := min(a, b), max(a, b)
+	return hi > 0 && float64(lo)/float64(hi) < t
 }
 
 // grouper buckets sample indices by band key, reusing its backing

@@ -2,6 +2,8 @@ package bcluster
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/behavior"
@@ -343,6 +345,74 @@ func TestLSHMatchesExactStraddlingThreshold(t *testing.T) {
 			t.Fatalf("sample %s: lsh cluster %d != exact %d",
 				in.ID, lsh.ClusterOf(in.ID), exact.ClusterOf(in.ID))
 		}
+	}
+}
+
+// randomSetPair draws two sorted feature sets of sizes a and b that share
+// a random number of elements.
+func randomSetPair(r *rand.Rand, a, b int) (behavior.FeatureSet, behavior.FeatureSet) {
+	shared := r.Intn(min(a, b) + 1)
+	pool := make([]uint64, a+b-shared)
+	for i := range pool {
+		pool[i] = r.Uint64()
+	}
+	r.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	// pool[:a] is A and pool[a-shared:] is B; they overlap in shared.
+	fa := append(behavior.FeatureSet(nil), pool[:a]...)
+	fb := append(behavior.FeatureSet(nil), pool[a-shared:]...)
+	slices.Sort(fa)
+	slices.Sort(fb)
+	return fa, fb
+}
+
+// TestSizeBoundNeverDropsALink is the soundness property of the O(1)
+// size bound the verification loops apply before the exact Jaccard:
+// whenever it rejects a pair, the pair's Jaccard is below the threshold
+// it was tested at. The sizes straddle the default threshold (4 vs 6 is
+// 0.67, 7 vs 10 is exactly 0.7) and include empty sets; the thresholds
+// run from the base up through trust-raised values to the 1.0 cap.
+func TestSizeBoundNeverDropsALink(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TrustPenalty = 0.5
+	var thresholds []float64
+	for d := 0; d <= 10; d++ {
+		thresholds = append(thresholds, cfg.effThreshold(float64(d)/10, 0))
+	}
+	if thresholds[0] != cfg.Threshold || thresholds[len(thresholds)-1] != 1 {
+		t.Fatalf("threshold sweep %v does not span base..1", thresholds)
+	}
+	sizes := [][2]int{{4, 6}, {6, 4}, {7, 10}, {10, 7}, {0, 5}, {5, 0}, {0, 0}, {13, 19}, {1, 1}}
+	r := simrng.New(23).Stream("size-bound")
+	rejected := 0
+	for trial := 0; trial < 300; trial++ {
+		for _, sz := range sizes {
+			a, b := randomSetPair(r, sz[0], sz[1])
+			j := a.Jaccard(b)
+			for _, th := range thresholds {
+				if !sizesCannotLink(len(a), len(b), th) {
+					continue
+				}
+				rejected++
+				if j >= th {
+					t.Fatalf("sizes %d/%d at t=%v: bound rejected a pair with Jaccard %v", len(a), len(b), th, j)
+				}
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("the bound rejected nothing; the sweep tests no rejection")
+	}
+	// The bound must keep the pairs that sit exactly on the threshold or
+	// are exempt: a 7-subset of a 10-set has Jaccard 0.7 and links, and
+	// two empty sets have Jaccard 1.
+	if sizesCannotLink(7, 10, cfg.Threshold) || sizesCannotLink(10, 7, cfg.Threshold) {
+		t.Error("bound rejects 7 vs 10 at 0.7, where a subset links")
+	}
+	if sizesCannotLink(0, 0, 1) {
+		t.Error("bound rejects two empty sets")
+	}
+	if !sizesCannotLink(4, 6, cfg.Threshold) || !sizesCannotLink(0, 5, cfg.Threshold) {
+		t.Error("bound keeps 4 vs 6 or 0 vs 5 at 0.7, whose best Jaccard is below it")
 	}
 }
 

@@ -46,10 +46,13 @@ import "sort"
 // an operator flush, DrainHeld converts them into permanent singletons
 // so a drained stream reaches a stable state.
 //
-// In defended mode the failed-pair memo is bypassed: its entries are
-// only sound at a fixed threshold, and the effective threshold varies
-// per pair. Probe statistics therefore differ from the undefended path
-// (they are path-dependent anyway); the membership partition is exact.
+// In defended mode a probe must see all of a sample's links before the
+// hold and park rules decide, so it visits each bucket member once, with
+// no same-component pruning and no failed-pair memo; a released hold is
+// probed a second time. Probe statistics therefore differ from the
+// undefended path (they are path-dependent anyway); the membership
+// partition is exact. The size bound applies at each pair's effective
+// threshold.
 
 // Status is a sample's defense disposition.
 type Status uint8
@@ -222,9 +225,9 @@ func (cfg Config) effThreshold(a, b float64) float64 {
 
 // collectLinks probes sample j against every band bucket and returns the
 // indices whose exact Jaccard clears the pair's effective threshold, in
-// deterministic probe order. Unlike the undefended path it neither
-// consults nor writes the failed-pair memo (entries are unsound across
-// varying thresholds) and does not insert j into the buckets.
+// deterministic probe order. Unlike the undefended path it visits each
+// member once through its own seen set instead of the failed-pair memo,
+// and does not insert j into the buckets.
 func (inc *Incremental) collectLinks(j int) []int {
 	sig := inc.sigs[j]
 	in := inc.inputs[j]
@@ -241,8 +244,11 @@ func (inc *Incremental) collectLinks(j int) []int {
 				continue
 			}
 			seen[i] = true
-			inc.stats.CandidatePairs++
 			t := inc.cfg.effThreshold(in.Distrust, inc.inputs[i].Distrust)
+			if sizesCannotLink(len(inc.sets[i]), len(inc.sets[j]), t) {
+				continue
+			}
+			inc.stats.CandidatePairs++
 			if inc.sets[i].Jaccard(inc.sets[j]) >= t {
 				inc.stats.Links++
 				links = append(links, i)
@@ -366,7 +372,8 @@ func (inc *Incremental) independentWitness(j, bigA, bigB int) bool {
 		if pa != ra || pb != rb {
 			continue
 		}
-		if inc.sets[h].Jaccard(inc.sets[j]) < inc.cfg.Threshold {
+		t := inc.cfg.Threshold
+		if sizesCannotLink(len(inc.sets[h]), len(inc.sets[j]), t) || inc.sets[h].Jaccard(inc.sets[j]) < t {
 			return true
 		}
 	}

@@ -34,8 +34,13 @@ type Incremental struct {
 
 	uf      *unionFind
 	buckets []map[uint64]*bucket // per band: band key -> integrated members
-	failed  map[uint64]struct{}
-	stats   Stats
+	// failedIn is the failed-pair memo of one probe: failedIn[i] == j+1
+	// means pair (i, j) missed the threshold while sample j was being
+	// integrated. Probes run in strictly increasing j and no later probe
+	// forms pair (i, j) again, so older stamps are dead and the memo
+	// stays one word per sample, however many pairs fail.
+	failedIn []uint32
+	stats    Stats
 
 	// integrated is the watermark: inputs[:integrated] are in the LSH
 	// index and the union-find; inputs[integrated:] are parked.
@@ -62,7 +67,6 @@ func NewIncremental(cfg Config) (*Incremental, error) {
 		rows:    cfg.NumHashes / cfg.Bands,
 		byID:    make(map[string]int),
 		buckets: buckets,
-		failed:  make(map[uint64]struct{}),
 		uf:      newUnionFind(0),
 	}
 	if cfg.defenseEnabled() {
@@ -161,6 +165,7 @@ func (inc *Incremental) Verify() {
 		inc.epochs++
 		return
 	}
+	inc.failedIn = append(inc.failedIn, make([]uint32, len(inc.inputs)-len(inc.failedIn))...)
 	for j := inc.integrated; j < len(inc.inputs); j++ {
 		inc.integrate(j)
 	}
@@ -187,10 +192,11 @@ type bucket struct {
 // that whole rescan into O(1): when the bucket is fully uniform and j
 // already shares its component, every pair (i, j) would take the
 // same-root skip — no candidate counted, no Jaccard run, no memo written,
-// no link made — so skipping the scan leaves partition, stats, and memo
-// exactly as the full scan would, byte for byte.
+// no link made — so skipping the scan leaves partition and stats exactly
+// as the full scan would, byte for byte.
 func (inc *Incremental) integrate(j int) {
 	sig := inc.sigs[j]
+	stamp := uint32(j) + 1
 	for band := 0; band < inc.cfg.Bands; band++ {
 		key := bandKey(sig[band*inc.rows:(band+1)*inc.rows], uint64(band))
 		b := inc.buckets[band][key]
@@ -217,8 +223,8 @@ func (inc *Incremental) integrate(j int) {
 		// are pairwise same-root, so the moment one of them shares j's
 		// root the rest of the prefix would all take the same-root skip —
 		// jump the cursor to the watermark instead of paying two finds per
-		// member. Only same-root pairs are skipped, so partition, stats,
-		// and memo stay byte-identical to the full scan.
+		// member. Only same-root pairs are skipped, so partition and stats
+		// stay byte-identical to the full scan.
 		for idx := 0; idx < len(b.members); idx++ {
 			i := b.members[idx]
 			if inc.uf.find(i) == inc.uf.find(j) {
@@ -227,8 +233,7 @@ func (inc *Incremental) integrate(j int) {
 				}
 				continue
 			}
-			pair := uint64(i)<<32 | uint64(j)
-			if _, seen := inc.failed[pair]; seen {
+			if sizesCannotLink(len(inc.sets[i]), len(inc.sets[j]), inc.cfg.Threshold) || inc.failedIn[i] == stamp {
 				continue
 			}
 			inc.stats.CandidatePairs++
@@ -237,7 +242,7 @@ func (inc *Incremental) integrate(j int) {
 				inc.uf.union(i, j)
 				inc.merges++
 			} else {
-				inc.failed[pair] = struct{}{}
+				inc.failedIn[i] = stamp
 			}
 		}
 		b.members = append(b.members, j)

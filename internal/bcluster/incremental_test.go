@@ -76,8 +76,8 @@ func TestIncrementalMatchesBatchAtEveryEpochSize(t *testing.T) {
 }
 
 // TestIncrementalCarriedStateMatchesFromScratch is the PR 6 differential
-// gate for the B side: an Incremental that carries its failed-pair memo,
-// union-find, and bucket watermarks across many Verify epochs must be
+// gate for the B side: an Incremental that carries its union-find and
+// bucket watermarks across many Verify epochs must be
 // byte-identical — clusters, IDs, AND probe stats — to a fresh
 // Incremental that sees the same samples and verifies once. This is
 // strictly stronger than the partition check above: integration happens
@@ -113,10 +113,10 @@ func TestIncrementalCarriedStateMatchesFromScratch(t *testing.T) {
 
 		got, want := carried.Result(), scratch.Result()
 		if !reflect.DeepEqual(got.Clusters, want.Clusters) {
-			t.Fatalf("epoch=%d: carried-memo clusters diverge from from-scratch", epoch)
+			t.Fatalf("epoch=%d: carried-state clusters diverge from from-scratch", epoch)
 		}
 		if got.Stats != want.Stats {
-			t.Fatalf("epoch=%d: carried-memo stats %+v diverge from from-scratch %+v",
+			t.Fatalf("epoch=%d: carried-state stats %+v diverge from from-scratch %+v",
 				epoch, got.Stats, want.Stats)
 		}
 		if carried.Stats() != scratch.Stats() {
@@ -160,6 +160,123 @@ func TestIncrementalUniformBucketFastPath(t *testing.T) {
 	}
 	if uniform*2 < big {
 		t.Fatalf("only %d/%d populated buckets fully uniform; fast path not engaging", uniform, big)
+	}
+}
+
+// collidingBands counts the LSH bands in which two samples' signatures
+// share a bucket.
+func collidingBands(cfg Config, a, b *behavior.Profile) int {
+	sa, sb := signature(a.FeatureSet(), cfg), signature(b.FeatureSet(), cfg)
+	rows := cfg.NumHashes / cfg.Bands
+	n := 0
+	for band := 0; band < cfg.Bands; band++ {
+		lo, hi := band*rows, (band+1)*rows
+		if bandKey(sa[lo:hi], uint64(band)) == bandKey(sb[lo:hi], uint64(band)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestIncrementalFailedPairCountedOnce pins the per-probe memo: a pair
+// that fails the threshold but collides in several bands is verified
+// once, whichever epochs its two samples land in, and a restore replays
+// the same single verification. Two 10-feature profiles sharing 8
+// features have Jaccard 8/12 < 0.7 but equal sizes, so the size bound
+// lets them through to the memo; unrelated singletons pad the stream so
+// that the two samples fall into different epochs at most epoch sizes.
+func TestIncrementalFailedPairCountedOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	pa, pb := behavior.NewProfile(), behavior.NewProfile()
+	for k := 0; k < 8; k++ {
+		pa.Add(fmt.Sprintf("pair-core%d", k))
+		pb.Add(fmt.Sprintf("pair-core%d", k))
+	}
+	pa.Add("pair-a0")
+	pa.Add("pair-a1")
+	pb.Add("pair-b0")
+	pb.Add("pair-b1")
+	if j := pa.Jaccard(pb); j >= cfg.Threshold {
+		t.Fatalf("premise: pair Jaccard %v must fail %v", j, cfg.Threshold)
+	}
+	if n := collidingBands(cfg, pa, pb); n < 2 {
+		t.Fatalf("premise: pair collides in %d bands, want several", n)
+	}
+	var inputs []Input
+	for i := 0; i < 100; i++ {
+		switch i {
+		case 3:
+			inputs = append(inputs, Input{ID: "pair-a", Profile: pa})
+		case 70:
+			inputs = append(inputs, Input{ID: "pair-b", Profile: pb})
+		default:
+			p := behavior.NewProfile()
+			for k := 0; k < 10; k++ {
+				p.Add(fmt.Sprintf("pad%d-f%d", i, k))
+			}
+			inputs = append(inputs, Input{ID: fmt.Sprintf("pad%03d", i), Profile: p})
+		}
+	}
+	want := Stats{Samples: len(inputs), CandidatePairs: 1}
+	for _, epoch := range []int{1, 7, 64, len(inputs)} {
+		inc, err := NewIncremental(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, in := range inputs {
+			if err := inc.Add(in); err != nil {
+				t.Fatal(err)
+			}
+			if inc.Pending() >= epoch || i == len(inputs)-1 {
+				inc.Verify()
+			}
+		}
+		if got := inc.Stats(); got != want {
+			t.Fatalf("epoch=%d: stats %+v, want %+v", epoch, got, want)
+		}
+		restored, err := RestoreIncremental(cfg, inc.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := restored.Stats(); got != want {
+			t.Fatalf("epoch=%d: restored stats %+v, want %+v", epoch, got, want)
+		}
+	}
+}
+
+// TestIncrementalMemoDoesNotGrowWithFailures is the white-box bound on
+// the failed-pair memo: it holds one stamp per sample, so its size after
+// Verify is independent of how many pairs failed. Every sample shares 8
+// of its 12 features with every other (Jaccard 0.5, equal sizes), so the
+// number of failed pairs grows quadratically with the corpus.
+func TestIncrementalMemoDoesNotGrowWithFailures(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, n := range []int{40, 160} {
+		inc, err := NewIncremental(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			p := behavior.NewProfile()
+			for k := 0; k < 8; k++ {
+				p.Add(fmt.Sprintf("core%d", k))
+			}
+			for k := 0; k < 4; k++ {
+				p.Add(fmt.Sprintf("s%d-x%d", i, k))
+			}
+			if err := inc.Add(Input{ID: fmt.Sprintf("s%03d", i), Profile: p}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inc.Verify()
+		st := inc.Stats()
+		failed := st.CandidatePairs - st.Links
+		if st.Links != 0 || failed < 4*n {
+			t.Fatalf("n=%d: premise: %d links, %d failed pairs; want none linked and many failed", n, st.Links, failed)
+		}
+		if got := len(inc.failedIn); got != n {
+			t.Fatalf("n=%d: memo holds %d entries after %d failed pairs, want one per sample (%d)", n, got, failed, n)
+		}
 	}
 }
 

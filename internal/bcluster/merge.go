@@ -105,8 +105,8 @@ func Merge(parts []*Incremental) (*Result, error) {
 			if len(members) < 2 {
 				continue
 			}
-			// A single-shard bucket proposes nothing: its pairs were
-			// either linked or memoized as failed by the owning shard.
+			// A single-shard bucket proposes nothing: the owning shard
+			// already linked or rejected each of its pairs.
 			s0 := shard[members[0]]
 			multi := false
 			for _, m := range members[1:] {
@@ -124,14 +124,18 @@ func Merge(parts []*Incremental) (*Result, error) {
 					if shard[i] == shard[j] || uf.find(i) == uf.find(j) {
 						continue
 					}
+					// The effective threshold reduces to cfg.Threshold
+					// when the trust penalty is off.
+					t := cfg.effThreshold(inputs[i].Distrust, inputs[j].Distrust)
+					if sizesCannotLink(len(sets[i]), len(sets[j]), t) {
+						continue
+					}
 					pair := uint64(i)<<32 | uint64(j)
 					if _, miss := failed[pair]; miss {
 						continue
 					}
 					stats.CandidatePairs++
-					// The effective threshold reduces to cfg.Threshold
-					// when the trust penalty is off.
-					if sets[i].Jaccard(sets[j]) >= cfg.effThreshold(inputs[i].Distrust, inputs[j].Distrust) {
+					if sets[i].Jaccard(sets[j]) >= t {
 						stats.Links++
 						uf.union(i, j)
 					} else {

@@ -26,9 +26,8 @@ type IncrementalInput struct {
 
 // IncrementalState is a serializable snapshot of an Incremental: the
 // inputs in arrival order, the integration watermark, and the epoch
-// counter. Everything else (LSH buckets, union-find, failed-pair memo,
-// probe stats) is a deterministic function of these and is rebuilt by
-// RestoreIncremental.
+// counter. Everything else (LSH buckets, union-find, probe stats) is a
+// deterministic function of these and is rebuilt by RestoreIncremental.
 type IncrementalState struct {
 	Inputs     []IncrementalInput `json:"inputs"`
 	Integrated int                `json:"integrated"`
@@ -63,10 +62,10 @@ func (inc *Incremental) State() IncrementalState {
 // membership partition is identical to the snapshotted instance.
 //
 // Undefended, the rebuild is byte-identical in full — partition,
-// buckets, failed-pair memo, and probe stats — because integration
-// happens in strict arrival order regardless of how the original run
-// partitioned it into epochs: replaying the integrated prefix as one
-// verification epoch performs exactly the same probe sequence.
+// buckets, and probe stats — because integration happens in strict
+// arrival order regardless of how the original run partitioned it into
+// epochs: replaying the integrated prefix as one verification epoch
+// performs exactly the same probe sequence.
 //
 // Defended, the recorded statuses are applied instead of re-evaluating
 // the hold/park rules (rule outcomes depend on epoch-relative timing the

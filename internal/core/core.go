@@ -80,13 +80,12 @@ type Results struct {
 	CrossMap *analysis.CrossMap
 }
 
-// Prepare executes the generation and simulation prefix of Run: it
-// generates the landscape, simulates the deployment, and builds the
-// enrichment pipeline, all seeded exactly as Run seeds them. The
-// streaming service (internal/stream) replays sim.Dataset events through
-// the returned pipeline to converge on the same results the batch Run
-// produces; Run itself continues from here with the batch enrichment.
-func Prepare(s Scenario) (*malgen.Landscape, *sgnet.Result, *enrich.Pipeline, error) {
+// NewPipeline generates the scenario's landscape and builds the
+// enrichment pipeline over it, seeded exactly as Run seeds them, without
+// simulating the deployment. A service that only enriches events
+// arriving from elsewhere (cmd/landscaped) needs nothing more, and the
+// simulation is most of Prepare's cost.
+func NewPipeline(s Scenario) (*malgen.Landscape, *enrich.Pipeline, error) {
 	rng := simrng.New(s.Seed)
 
 	enrichCfg := s.Enrichment
@@ -99,15 +98,29 @@ func Prepare(s Scenario) (*malgen.Landscape, *sgnet.Result, *enrich.Pipeline, er
 
 	landscape, err := malgen.Generate(s.Landscape, rng.Child("landscape"))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: generating landscape: %w", err)
-	}
-	sim, err := sgnet.Simulate(landscape, s.Deployment, rng.Child("sgnet"))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: simulating deployment: %w", err)
+		return nil, nil, fmt.Errorf("core: generating landscape: %w", err)
 	}
 	pipe, err := enrich.New(landscape, enrichCfg, rng.Child("enrich"))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: building enrichment: %w", err)
+		return nil, nil, fmt.Errorf("core: building enrichment: %w", err)
+	}
+	return landscape, pipe, nil
+}
+
+// Prepare executes the generation and simulation prefix of Run: it
+// builds the landscape and enrichment pipeline (NewPipeline) and
+// simulates the deployment, all seeded exactly as Run seeds them. The
+// streaming service (internal/stream) replays sim.Dataset events through
+// the returned pipeline to converge on the same results the batch Run
+// produces; Run itself continues from here with the batch enrichment.
+func Prepare(s Scenario) (*malgen.Landscape, *sgnet.Result, *enrich.Pipeline, error) {
+	landscape, pipe, err := NewPipeline(s)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sim, err := sgnet.Simulate(landscape, s.Deployment, simrng.New(s.Seed).Child("sgnet"))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: simulating deployment: %w", err)
 	}
 	return landscape, sim, pipe, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -172,5 +173,53 @@ func TestEndToEndPaperPhenomena(t *testing.T) {
 	}
 	if len(rows) == 0 {
 		t.Fatal("no IRC correlation rows")
+	}
+}
+
+// TestNewPipelineMatchesPrepare pins the daemon's start-up path: the
+// pipeline NewPipeline builds without simulating the deployment labels
+// and executes every simulated sample exactly as Prepare's pipeline does.
+// Prepare's pipeline shares its landscape with the simulation, so this
+// fails if simulating leaves behind any change the pipeline reads.
+func TestNewPipelineMatchesPrepare(t *testing.T) {
+	s := SmallScenario()
+	_, sim, want, err := Prepare(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := NewPipeline(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed := 0
+	for _, smp := range sim.Dataset.Samples() {
+		a, b := *smp, *smp
+		if err := want.LabelSample(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.LabelSample(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("sample %s: labels %q %v, want %q %v", smp.MD5, b.AVLabel, b.AVLabels, a.AVLabel, a.AVLabels)
+		}
+		if !smp.Executable {
+			continue
+		}
+		pa, da, err := want.ExecuteSample(smp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, db, err := got.ExecuteSample(smp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if da != db || !reflect.DeepEqual(pa.Features(), pb.Features()) {
+			t.Fatalf("sample %s: execution differs (degraded %v vs %v)", smp.MD5, db, da)
+		}
+		executed++
+	}
+	if executed == 0 {
+		t.Fatal("scenario has no executable samples; the test compares nothing")
 	}
 }

@@ -332,6 +332,12 @@ func (c *Coordinator) Flush(ctx context.Context) error {
 	return c.fanout(func(s *stream.Service) error { return s.Flush(ctx) })
 }
 
+// Sync waits until every batch queued on any shard before the call has
+// been applied (stream.Service.Sync on each shard).
+func (c *Coordinator) Sync(ctx context.Context) error {
+	return c.fanout(func(s *stream.Service) error { return s.Sync(ctx) })
+}
+
 // Checkpoint checkpoints every shard.
 func (c *Coordinator) Checkpoint(ctx context.Context) error {
 	return c.fanout(func(s *stream.Service) error { return s.Checkpoint(ctx) })

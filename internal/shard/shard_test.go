@@ -433,8 +433,16 @@ func TestSharedAdmissionLedger(t *testing.T) {
 	if err := c.Ingest(ctx, cleanCorpus(5)); err != nil {
 		t.Fatalf("trusted loopback batch rejected: %v", err)
 	}
+	if err := c.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	st := c.Stats()
+	// The loopback batch repeats the first one, so half the admitted
+	// events are duplicates.
+	if st.Aggregate.Events != 5 || st.Aggregate.Duplicates != 5 {
+		t.Fatalf("after Sync: %d events, %d duplicates applied, want 5/5", st.Aggregate.Events, st.Aggregate.Duplicates)
+	}
 	if st.Aggregate.Admission.RejectedBatches["rate-limit"] != 1 {
 		t.Fatalf("aggregate admission missed the rejection: %+v", st.Aggregate.Admission)
 	}

@@ -286,9 +286,13 @@ func TestDegradedModeDefersEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := waitStats(t, svc, "all batches applied", func(st stream.Stats) bool {
-		return st.Events == 60
-	})
+	if err := svc.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := svc.Stats()
+	if st.Events != 60 {
+		t.Fatalf("%d events applied after Sync, want 60", st.Events)
+	}
 	adm := st.Admission
 	if !adm.Degraded || adm.DegradedEntered != 1 {
 		t.Fatalf("service not degraded after sustained pressure: %+v", adm)
@@ -507,12 +511,17 @@ func TestDegradedProvisionalNoDoubleCount(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if err := svc.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if n := svc.Stats().Events; n != hi {
+			t.Fatalf("%d events applied after Sync, want %d", n, hi)
+		}
 	}
 
 	// Phase 1: everything pools as pending (no clustering yet, epochs
 	// deferred under pressure); Flush forces the first epoch.
 	feed(0, 40)
-	waitStats(t, svc, "phase 1 applied", func(st stream.Stats) bool { return st.Events == 40 })
 	checkPartition(svc, "degraded, pre-epoch")
 	if err := svc.Flush(ctx); err != nil {
 		t.Fatal(err)
@@ -526,7 +535,7 @@ func TestDegradedProvisionalNoDoubleCount(t *testing.T) {
 	// Phase 2: the pattern set now matches the stream, so new instances
 	// classify provisionally while the deferred-epoch counter climbs.
 	feed(40, 80)
-	st := waitStats(t, svc, "phase 2 applied", func(st stream.Stats) bool { return st.Events == 80 })
+	st := svc.Stats()
 	if st.Epsilon.Epoch != epoch1 {
 		t.Fatalf("epochs ran under pressure: %d -> %d", epoch1, st.Epsilon.Epoch)
 	}

@@ -272,16 +272,7 @@ func (s *Service) Checkpoint(ctx context.Context) error {
 	if err := s.StorageFailure(); err != nil {
 		return err
 	}
-	req := request{ckpt: true, errc: make(chan error, 1)}
-	if err := s.send(ctx, req); err != nil {
-		return err
-	}
-	select {
-	case err := <-req.errc:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return s.call(ctx, request{ckpt: true})
 }
 
 // checkpoint runs one checkpoint attempt on the worker and does the

@@ -177,6 +177,9 @@ func TestRetryPoolSurvivesRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		if bi%3 == 2 {
+			if err := svc.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
 			if svc.Stats().Retry.Pending == 0 && bi == 2 {
 				t.Fatal("test premise broken: expected pooled samples at the first restart")
 			}

@@ -140,7 +140,10 @@ type request struct {
 	client string
 	flush  bool
 	ckpt   bool
-	errc   chan error
+	// sync asks only for an acknowledgement: the worker answers once
+	// every request queued before it has been applied.
+	sync bool
+	errc chan error
 	// at is the enqueue instant; the worker derives the queue-wait
 	// pressure signal from it.
 	at time.Time
@@ -404,7 +407,22 @@ func (s *Service) Flush(ctx context.Context) error {
 	if err := s.StorageFailure(); err != nil {
 		return err
 	}
-	req := request{flush: true, errc: make(chan error, 1)}
+	return s.call(ctx, request{flush: true})
+}
+
+// Sync waits until every batch queued before the call has been applied,
+// so state read afterwards reflects them. Unlike Flush it forces no
+// epoch, drains no retries and releases no quarantine: parked samples
+// stay parked and the retry backoff clock does not move.
+func (s *Service) Sync(ctx context.Context) error {
+	return s.call(ctx, request{sync: true})
+}
+
+// call enqueues a control request (flush, checkpoint, sync) and waits
+// for the worker's answer, which comes after every request queued
+// before it.
+func (s *Service) call(ctx context.Context, req request) error {
+	req.errc = make(chan error, 1)
 	if err := s.send(ctx, req); err != nil {
 		return err
 	}
@@ -520,6 +538,10 @@ func (s *Service) worker() {
 			s.observePressure(time.Since(req.at))
 		}
 		depth := len(s.in) + 1
+		if req.sync {
+			req.errc <- nil
+			continue
+		}
 		if req.ckpt {
 			req.errc <- s.checkpoint()
 			continue
@@ -1369,8 +1391,8 @@ func (s *Service) Stats() Stats {
 		defense = &d
 	}
 	return Stats{
-		Defense: defense,
-		Clients: s.clientStats(),
+		Defense:           defense,
+		Clients:           s.clientStats(),
 		Role:              s.role,
 		UptimeMS:          time.Since(s.start).Milliseconds(),
 		Replicated:        s.replicated,

@@ -182,6 +182,38 @@ func TestServiceCloseSemantics(t *testing.T) {
 	}
 }
 
+// TestServiceSyncIsABarrierOnly pins Sync's contract: every batch queued
+// before it is applied when it returns, but it forces no epoch (unlike
+// Flush), so parked work stays parked until an epoch is due.
+func TestServiceSyncIsABarrierOnly(t *testing.T) {
+	svc := newTestService(t, testConfig(0)) // no automatic epochs
+	ctx := context.Background()
+	for i := 0; i < 60; i += 10 {
+		var batch []dataset.Event
+		for k := i; k < i+10; k++ {
+			batch = append(batch, testEvent(k, fmt.Sprintf("v%d", k%3)))
+		}
+		if err := svc.Ingest(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := svc.Stats()
+	if st.Events != 60 || st.Executed != 12 {
+		t.Fatalf("after Sync: events=%d executed=%d, want 60/12", st.Events, st.Executed)
+	}
+	if st.Flushes != 0 || st.Epsilon.Epoch != 0 || st.B.Epochs != 0 || st.B.Pending != 12 {
+		t.Fatalf("Sync ran an epoch: flushes=%d epsilon epoch=%d B epochs=%d B pending=%d",
+			st.Flushes, st.Epsilon.Epoch, st.B.Epochs, st.B.Pending)
+	}
+	svc.Close()
+	if err := svc.Sync(ctx); err != stream.ErrClosed {
+		t.Fatalf("Sync after Close = %v, want ErrClosed", err)
+	}
+}
+
 func TestServiceIngestContextCancel(t *testing.T) {
 	cfg := testConfig(0)
 	cfg.QueueDepth = 1
