@@ -1,6 +1,6 @@
 # Mirrors .github/workflows/ci.yml for local runs.
 
-.PHONY: check vet test race bench bench-json bench-guard run-landscaped smoke-landscaped smoke-crash smoke-chaos smoke-overload smoke-shard smoke-replica smoke-poison fuzz-smoke
+.PHONY: check vet test race bench bench-json bench-guard bench-e2e run-landscaped smoke-landscaped smoke-crash smoke-chaos smoke-overload smoke-shard smoke-replica smoke-poison fuzz-smoke
 
 # Every recipe that backgrounds a daemon first arms KILL_ON_EXIT: the
 # shell SIGKILLs the PIDs it names when the recipe exits, fails or is
@@ -40,6 +40,24 @@ bench-json:
 # files. Mirrors the CI "Bench guard" step.
 bench-guard:
 	go run ./cmd/benchjson -guard
+
+# The daemon benchmark's four workloads end to end (BENCHMARK.json),
+# one at a time in the foreground, each under a timeout; then fail if
+# any daemon, driver or build is still running. The driver kills its
+# daemon on the SIGTERM timeout sends; a SIGKILLed driver orphans it,
+# which the final check catches. The bracketed patterns keep pgrep from
+# matching this recipe's own shell.
+#   make bench-e2e SEED=1
+SEED ?= 1
+BENCH_WORKLOADS = ingest-durable ingest-nosync sharded-mixed scenario-enrich
+bench-e2e:
+	@rc=0; for w in $(BENCH_WORKLOADS); do \
+		timeout -k 10 300 bash bench/run.sh --workload $$w --seed $(SEED) --seconds 12 --trace 0 || rc=1; \
+	done; \
+	if pgrep -af '[l]andscaped|[s]ynthd|[.]bench_build'; then \
+		echo "bench-e2e: processes left running" >&2; rc=1; \
+	fi; \
+	exit $$rc
 
 # Serve the streaming landscape daemon on the small scenario; feed it
 # with `go run ./cmd/landscaped -small -replay-to http://127.0.0.1:8844`

@@ -57,7 +57,7 @@ func TestDefenseZeroKnobsInert(t *testing.T) {
 		t.Error("unknown ID reported ok")
 	}
 	// A snapshot of an undefended clusterer must not carry defense fields.
-	for _, in := range inc.State().Inputs {
+	for _, in := range snapshot(inc).Inputs {
 		if in.Status != StatusClustered || in.HoldPair != nil || in.Group != "" || in.Distrust != 0 {
 			t.Errorf("undefended snapshot input carries defense fields: %+v", in)
 		}
@@ -298,13 +298,13 @@ func TestDefendedStateRestore(t *testing.T) {
 	inc.Verify()
 	addAll(t, inc, Input{ID: "late", Profile: mkProfile("b1", "b2", "b3")}) // still parked pre-Verify
 
-	st := inc.State()
+	st := snapshot(inc)
 	got, err := RestoreIncremental(cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.State(), st) {
-		t.Fatalf("restored state differs:\n got %+v\nwant %+v", got.State(), st)
+	if !reflect.DeepEqual(snapshot(got), st) {
+		t.Fatalf("restored state differs:\n got %+v\nwant %+v", snapshot(got), st)
 	}
 	want := inc.Result()
 	res := got.Result()

@@ -234,7 +234,7 @@ func TestIncrementalFailedPairCountedOnce(t *testing.T) {
 		if got := inc.Stats(); got != want {
 			t.Fatalf("epoch=%d: stats %+v, want %+v", epoch, got, want)
 		}
-		restored, err := RestoreIncremental(cfg, inc.State())
+		restored, err := RestoreIncremental(cfg, snapshot(inc))
 		if err != nil {
 			t.Fatal(err)
 		}

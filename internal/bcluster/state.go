@@ -28,34 +28,39 @@ type IncrementalInput struct {
 // inputs in arrival order, the integration watermark, and the epoch
 // counter. Everything else (LSH buckets, union-find, probe stats) is a
 // deterministic function of these and is rebuilt by RestoreIncremental.
+// A live clusterer streams its snapshot instead of copying it: EachInput
+// yields the inputs, Samples()-Pending() is the watermark, and Epochs()
+// the counter.
 type IncrementalState struct {
 	Inputs     []IncrementalInput `json:"inputs"`
 	Integrated int                `json:"integrated"`
 	Epochs     int                `json:"epochs"`
 }
 
-// State snapshots the clusterer for checkpointing.
-func (inc *Incremental) State() IncrementalState {
-	st := IncrementalState{
-		Inputs:     make([]IncrementalInput, len(inc.inputs)),
-		Integrated: inc.integrated,
-		Epochs:     inc.epochs,
-	}
+// EachInput calls fn with each input's persisted record, in arrival
+// order, without copying the clusterer's state. The record is reused
+// between calls: fn must not retain it or modify its slices.
+func (inc *Incremental) EachInput(fn func(*IncrementalInput)) {
+	var (
+		rec  IncrementalInput
+		hold [2]int
+	)
 	for i, in := range inc.inputs {
-		st.Inputs[i] = IncrementalInput{
+		rec = IncrementalInput{
 			ID:       in.ID,
 			Features: in.Profile.Features(),
 			Group:    in.Group,
 			Distrust: in.Distrust,
 		}
 		if inc.def != nil && i < len(inc.def.status) {
-			st.Inputs[i].Status = inc.def.status[i]
+			rec.Status = inc.def.status[i]
 			if p, held := inc.def.holds[i]; held {
-				st.Inputs[i].HoldPair = []int{p[0], p[1]}
+				hold = p
+				rec.HoldPair = hold[:]
 			}
 		}
+		fn(&rec)
 	}
-	return st
 }
 
 // RestoreIncremental rebuilds a clusterer from a State snapshot. The

@@ -3,8 +3,21 @@ package bcluster
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 )
+
+// snapshot copies a clusterer's state out of the stream a checkpoint
+// encodes: EachInput's records, the watermark, and the epoch counter.
+func snapshot(inc *Incremental) IncrementalState {
+	st := IncrementalState{Inputs: []IncrementalInput{}, Integrated: inc.Samples() - inc.Pending(), Epochs: inc.Epochs()}
+	inc.EachInput(func(in *IncrementalInput) {
+		c := *in
+		c.Features, c.HoldPair = slices.Clone(in.Features), slices.Clone(in.HoldPair)
+		st.Inputs = append(st.Inputs, c)
+	})
+	return st
+}
 
 // TestStateRestoreRoundTrip checkpoints an Incremental mid-stream —
 // several completed epochs plus a parked tail — and asserts the restored
@@ -31,7 +44,7 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 	}
 
 	orig := build(200) // 3 full epochs + 20 parked
-	st := orig.State()
+	st := snapshot(orig)
 	// The snapshot must survive serialization: it is embedded in the
 	// streaming service's JSON checkpoint.
 	blob, err := json.Marshal(st)

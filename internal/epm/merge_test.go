@@ -104,7 +104,7 @@ func TestMergeMatchesBatch(t *testing.T) {
 					in := corpus
 					if order == "shuffled" {
 						in = append([]Instance(nil), corpus...)
-						rand.New(rand.NewSource(seed * 31)).Shuffle(len(in), func(a, b int) {
+						rand.New(rand.NewSource(seed*31)).Shuffle(len(in), func(a, b int) {
 							in[a], in[b] = in[b], in[a]
 						})
 					}

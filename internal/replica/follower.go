@@ -164,10 +164,12 @@ func (f *Follower) bootstrapOnce(ctx context.Context) error {
 		svcs = append(svcs, svc)
 	}
 	for i, sm := range man.PerShard {
-		blob, err := f.fetchCheckpoint(ctx, i)
+		body, err := f.fetchCheckpoint(ctx, i)
 		switch {
 		case err == nil:
-			if err := svcs[i].RestoreSnapshot(blob); err != nil {
+			err := svcs[i].RestoreSnapshot(body)
+			body.Close()
+			if err != nil {
 				closeAll()
 				return err
 			}
@@ -360,19 +362,21 @@ func (f *Follower) fetchManifest(ctx context.Context) (Manifest, error) {
 	return man, nil
 }
 
-func (f *Follower) fetchCheckpoint(ctx context.Context, shardIdx int) ([]byte, error) {
+// fetchCheckpoint opens the shard's checkpoint stream; the caller
+// restores from it and closes it.
+func (f *Follower) fetchCheckpoint(ctx context.Context, shardIdx int) (io.ReadCloser, error) {
 	resp, err := f.get(ctx, fmt.Sprintf("/v1/repl/checkpoint/%d", shardIdx))
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, ErrNoCheckpoint
-	}
 	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusNotFound {
+			return nil, ErrNoCheckpoint
+		}
 		return nil, fmt.Errorf("replica: checkpoint %d: HTTP %d", shardIdx, resp.StatusCode)
 	}
-	return io.ReadAll(resp.Body)
+	return resp.Body, nil
 }
 
 func (f *Follower) get(ctx context.Context, path string) (*http.Response, error) {

@@ -128,21 +128,19 @@ func (p *Publisher) Checkpoint(shard int) ([]byte, error) {
 	return blob, nil
 }
 
+// checkpointSeq is the coverage of the checkpoint Checkpoint would
+// ship: the newest whose CRC verifies, found without loading it. Every
+// follower poll asks, so the probe reads the seq from the header and
+// lets the CRC check the rest as it streams past.
 func (p *Publisher) checkpointSeq(shard int) (uint64, error) {
-	blob, err := p.Checkpoint(shard)
-	if errors.Is(err, ErrNoCheckpoint) {
+	seq, err := ckpt.NewestSeq(nil, p.sources[shard].Dir)
+	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
-		return 0, err
-	}
-	var cp struct {
-		Seq uint64 `json:"seq"`
-	}
-	if err := json.Unmarshal(blob, &cp); err != nil {
 		return 0, fmt.Errorf("replica: shard %d checkpoint: %w", shard, err)
 	}
-	return cp.Seq, nil
+	return seq, nil
 }
 
 // Handler serves the shipping endpoints. The daemon mounts it under

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -425,6 +428,61 @@ func TestManifestAtomicity(t *testing.T) {
 					min, sm.CheckpointSeq)
 			}
 		}
+	}
+}
+
+// TestManifestAllocations: every follower poll asks for the manifest,
+// and the manifest reads each checkpoint's seq from its header and lets
+// the CRC check the rest as it streams past, so a poll allocates a
+// small fraction of the checkpoint however large it is. Not parallel:
+// the measure is the process's allocation counter.
+func TestManifestAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a multi-MiB checkpoint")
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	scfg := testConfig(0)
+	scfg.Durability = stream.Durability{Dir: dir, NoSync: true}
+	p := newPrimary(t, 1, scfg)
+	for lo := 0; lo < 12000; lo += 500 {
+		var batch []dataset.Event
+		for i := lo; i < lo+500; i++ {
+			batch = append(batch, testEvent(i, fmt.Sprintf("v%d", i%5)))
+		}
+		if err := p.ingest(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() < 4<<20 {
+		t.Fatalf("checkpoint is only %d bytes; the guard needs a multi-MiB one", fi.Size())
+	}
+	want := p.svc.Stats().WAL.LastCheckpointSeq
+	const polls = 5
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < polls; i++ {
+		man, err := p.pub.Manifest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := man.PerShard[0].CheckpointSeq; got != want {
+			t.Fatalf("manifest checkpoint seq %d, want %d", got, want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / polls
+	t.Logf("a manifest poll over a %d-byte checkpoint allocated %d bytes", fi.Size(), per)
+	if per*10 >= uint64(fi.Size()) {
+		t.Fatalf("a manifest poll allocated %d bytes for a %d-byte checkpoint, want < a tenth", per, fi.Size())
 	}
 }
 

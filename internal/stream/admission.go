@@ -112,10 +112,10 @@ type AdmissionStats struct {
 	// Degraded reports the service is deferring EPM rebuild and B
 	// verification epochs under sustained pressure; queries serve the
 	// last snapshot. DegradedEntered/DegradedExited count transitions.
-	Degraded        bool `json:"degraded"`
+	Degraded         bool `json:"degraded"`
 	RateLimitClients int  `json:"rate_limit_clients"`
-	DegradedEntered int  `json:"degraded_entered"`
-	DegradedExited  int  `json:"degraded_exited"`
+	DegradedEntered  int  `json:"degraded_entered"`
+	DegradedExited   int  `json:"degraded_exited"`
 	// EpochsDeferred counts epoch triggers skipped while degraded; the
 	// work is performed on pressure release or at the next Flush.
 	EpochsDeferred int `json:"epochs_deferred"`

@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -94,12 +96,14 @@ type walRecord struct {
 	Client string `json:"client,omitempty"`
 }
 
-// checkpointFile is the atomic on-disk snapshot. Everything not listed
-// is a deterministic function of what is: instances re-project from the
-// events, EPM clusterings re-derive from the instances and watermarks,
-// and the B-clusterer restores from its own state record. MaxQueueDepth
-// is deliberately absent — queue depth is path-dependent, not part of
-// the landscape state.
+// checkpointFile is the atomic on-disk snapshot's format. Everything not
+// listed is a deterministic function of what is: instances re-project
+// from the events, EPM clusterings re-derive from the instances and
+// watermarks, and the B-clusterer restores from its own state record.
+// MaxQueueDepth is deliberately absent — queue depth is path-dependent,
+// not part of the landscape state. No whole checkpointFile is ever
+// built: encodeCheckpoint streams its fields in this order, and
+// restoreCheckpoint decodes only the small ones into one.
 type checkpointFile struct {
 	Version     int                       `json:"version"`
 	Seq         uint64                    `json:"seq"` // every record <= Seq is reflected
@@ -296,20 +300,12 @@ func (s *Service) checkpoint() error {
 	return nil
 }
 
-// writeCheckpoint writes the snapshot atomically: temp file, fsync,
-// CRC-sealed blob, archive of the previous checkpoint as a fallback
-// generation, rename, directory fsync. Every step's error propagates —
-// a checkpoint that may not be durable must not narrow the WAL's GC
-// horizon. Runs on the worker.
+// writeCheckpoint writes the snapshot atomically: the state streamed
+// into a temp file under a CRC trailer, fsync, archive of the previous
+// checkpoint as a fallback generation, rename, directory fsync. Every
+// step's error propagates — a checkpoint that may not be durable must
+// not narrow the WAL's GC horizon. Runs on the worker.
 func (s *Service) writeCheckpoint() error {
-	s.mu.RLock()
-	cp := s.buildCheckpoint()
-	blob, err := json.Marshal(cp)
-	s.mu.RUnlock()
-	if err != nil {
-		return fmt.Errorf("stream: encoding checkpoint: %w", err)
-	}
-	blob = ckpt.Seal(blob)
 	dir := s.cfg.Durability.Dir
 	path := filepath.Join(dir, checkpointName)
 	tmp, err := s.fs.CreateTemp(dir, checkpointName+".tmp-")
@@ -317,15 +313,16 @@ func (s *Service) writeCheckpoint() error {
 		return fmt.Errorf("stream: checkpoint: %w", err)
 	}
 	defer s.fs.Remove(tmp.Name())
-	if _, err := tmp.Write(blob); err != nil {
+	s.mu.RLock()
+	seq := s.applySeq
+	err = s.encodeCheckpoint(tmp)
+	s.mu.RUnlock()
+	if err == nil && !s.cfg.Durability.NoSync {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	if !s.cfg.Durability.NoSync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return fmt.Errorf("stream: checkpoint: %w", err)
-		}
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("stream: checkpoint: %w", err)
@@ -357,13 +354,13 @@ func (s *Service) writeCheckpoint() error {
 	}
 	s.mu.Lock()
 	s.checkpoints++
-	s.lastCkptSeq = cp.Seq
+	s.lastCkptSeq = seq
 	s.sinceCkpt = 0
 	s.mu.Unlock()
 	s.pruneGenerations(dir)
 	// Only the prefix below every retained checkpoint is redundant:
 	// falling back to an older generation needs its longer WAL suffix.
-	if err := s.wal.TruncateBefore(s.gcHorizon(cp.Seq) + 1); err != nil {
+	if err := s.wal.TruncateBefore(s.gcHorizon(seq) + 1); err != nil {
 		s.mu.Lock()
 		s.recordError("wal truncation after checkpoint: " + err.Error())
 		s.mu.Unlock()
@@ -371,14 +368,33 @@ func (s *Service) writeCheckpoint() error {
 	return nil
 }
 
-// buildCheckpoint snapshots the state. Callers hold at least the read
-// lock; the worker is the only caller, so no mutation is concurrent.
-func (s *Service) buildCheckpoint() *checkpointFile {
-	cp := &checkpointFile{
-		Version: checkpointVersion,
-		Seq:     s.applySeq,
-		Events:  s.ds.Events(),
-		Counters: checkpointCounters{
+// encodeCheckpoint streams the state into w as one sealed checkpoint.
+// The payload is byte for byte json.Marshal of the checkpointFile the
+// state describes, but no copy of the state is built: events come from
+// the dataset's chunks, sample records and B inputs from iterators, and
+// each element passes through one reused json.Encoder. Callers hold at
+// least the read lock; the worker is the only caller, so no mutation is
+// concurrent.
+func (s *Service) encodeCheckpoint(w io.Writer) error {
+	cw := ckpt.NewWriter(w)
+	o := newObjectWriter(cw)
+	o.object(func() {
+		o.field("version", checkpointVersion)
+		o.field("seq", s.applySeq)
+		o.array("events", false, func(elem func(any)) {
+			s.ds.EachEvent(func(e *dataset.Event) { elem(e) })
+		})
+		se := new(sampleEnrichment)
+		o.array("samples", true, func(elem func(any)) {
+			for _, smp := range s.ds.Samples() {
+				if smp.AVLabel == "" && len(smp.AVLabels) == 0 && smp.Profile == nil {
+					continue
+				}
+				*se = sampleEnrichment{MD5: smp.MD5, AVLabel: smp.AVLabel, AVLabels: smp.AVLabels, Profile: smp.Profile}
+				elem(se)
+			}
+		})
+		o.field("counters", &checkpointCounters{
 			Events:           s.events,
 			Rejected:         s.rejected,
 			RejectedByReason: s.rejectedByReason,
@@ -392,36 +408,129 @@ func (s *Service) buildCheckpoint() *checkpointFile {
 			RetryAttempts:    s.retryAttempts,
 			RetrySuccesses:   s.retrySuccesses,
 			RecentErrors:     s.recentErrors,
-		},
-		B:           s.b.State(),
-		Quarantined: s.quarantined,
-	}
-	if len(s.clients) > 0 {
-		cp.Clients = s.clients
-	}
-	if len(s.sampleClient) > 0 {
-		cp.SampleClients = s.sampleClient
-	}
-	if len(s.sampleGroup) > 0 {
-		cp.SampleGroups = s.sampleGroup
-	}
-	for _, smp := range s.ds.Samples() {
-		if smp.AVLabel == "" && len(smp.AVLabels) == 0 && smp.Profile == nil {
-			continue
+		})
+		dims := new([3]dimState)
+		for i, d := range s.dims {
+			dims[i] = dimState{Epoch: d.epoch, BuiltLen: d.builtLen, NextStable: d.nextStable, Stable: d.stable}
 		}
-		cp.Samples = append(cp.Samples, sampleEnrichment{
-			MD5: smp.MD5, AVLabel: smp.AVLabel, AVLabels: smp.AVLabels, Profile: smp.Profile,
+		o.field("dims", dims)
+		o.key("b")
+		o.object(func() {
+			o.array("inputs", false, func(elem func(any)) {
+				s.b.EachInput(func(in *bcluster.IncrementalInput) { elem(in) })
+			})
+			o.field("integrated", s.b.Samples()-s.b.Pending())
+			o.field("epochs", s.b.Epochs())
 		})
-	}
-	for i, d := range s.dims {
-		cp.Dims[i] = dimState{Epoch: d.epoch, BuiltLen: d.builtLen, NextStable: d.nextStable, Stable: d.stable}
-	}
-	for _, e := range s.retry.entries {
-		cp.Retry = append(cp.Retry, retryEntryState{
-			MD5: e.md5, Stage: e.stage, Attempts: e.attempts, NextSeq: e.nextSeq, LastErr: e.lastErr,
+		re := new(retryEntryState)
+		o.array("retry", true, func(elem func(any)) {
+			for _, e := range s.retry.entries {
+				*re = retryEntryState{MD5: e.md5, Stage: e.stage, Attempts: e.attempts, NextSeq: e.nextSeq, LastErr: e.lastErr}
+				elem(re)
+			}
 		})
+		// The maps are omitempty: absent unless populated.
+		if len(s.quarantined) > 0 {
+			o.field("quarantined", s.quarantined)
+		}
+		if len(s.clients) > 0 {
+			o.field("clients", s.clients)
+		}
+		if len(s.sampleClient) > 0 {
+			o.field("sample_clients", s.sampleClient)
+		}
+		if len(s.sampleGroup) > 0 {
+			o.field("sample_groups", s.sampleGroup)
+		}
+	})
+	if o.err != nil {
+		return o.err
 	}
-	return cp
+	return cw.Seal()
+}
+
+// objectWriter writes a JSON object field by field, staging punctuation
+// and one value at a time in a reused buffer: no more than one element
+// of an array field is ever held in memory.
+type objectWriter struct {
+	w     io.Writer
+	buf   bytes.Buffer
+	enc   *json.Encoder // encodes into buf
+	first bool          // the next key opens its object
+	err   error
+}
+
+func newObjectWriter(w io.Writer) *objectWriter {
+	o := &objectWriter{w: w}
+	o.enc = json.NewEncoder(&o.buf)
+	return o
+}
+
+// object writes {fields}; fields writes the keys and values.
+func (o *objectWriter) object(fields func()) {
+	o.buf.WriteByte('{')
+	o.first = true
+	fields()
+	o.buf.WriteByte('}')
+	o.first = false
+	o.flush()
+}
+
+func (o *objectWriter) key(name string) {
+	if !o.first {
+		o.buf.WriteByte(',')
+	}
+	o.first = false
+	o.buf.WriteByte('"')
+	o.buf.WriteString(name)
+	o.buf.WriteString(`":`)
+}
+
+// value writes v's json.Marshal encoding: what Encode writes, less the
+// newline it ends each value with.
+func (o *objectWriter) value(v any) {
+	if o.err != nil {
+		return
+	}
+	if o.err = o.enc.Encode(v); o.err == nil {
+		o.buf.Truncate(o.buf.Len() - 1)
+	}
+	o.flush()
+}
+
+func (o *objectWriter) flush() {
+	if o.err == nil {
+		_, o.err = o.w.Write(o.buf.Bytes())
+	}
+	o.buf.Reset()
+}
+
+func (o *objectWriter) field(name string, v any) {
+	o.key(name)
+	o.value(v)
+}
+
+// array writes a field whose value is the array of the elements each
+// passes to elem. An empty array is written as [] unless omitEmpty.
+func (o *objectWriter) array(name string, omitEmpty bool, each func(elem func(v any))) {
+	n := 0
+	each(func(v any) {
+		if n == 0 {
+			o.key(name)
+			o.buf.WriteByte('[')
+		} else {
+			o.buf.WriteByte(',')
+		}
+		n++
+		o.value(v)
+	})
+	switch {
+	case n > 0:
+		o.buf.WriteByte(']')
+	case !omitEmpty:
+		o.key(name)
+		o.buf.WriteString("[]")
+	}
 }
 
 // syncDir fsyncs a directory so renames within it are durable.
@@ -472,38 +581,15 @@ func (s *Service) gcHorizon(liveSeq uint64) uint64 {
 	return h
 }
 
-// decodeCheckpoint unseals (verifying the CRC trailer) and decodes one
-// checkpoint blob. Blobs written before sealing existed carry no
-// trailer and pass CRC-free.
-func decodeCheckpoint(blob []byte) (*checkpointFile, error) {
-	payload, _, err := ckpt.Unseal(blob)
-	if err != nil {
-		return nil, fmt.Errorf("stream: corrupt checkpoint: %w", err)
-	}
-	var cp checkpointFile
-	if err := json.Unmarshal(payload, &cp); err != nil {
-		return nil, fmt.Errorf("stream: corrupt checkpoint: %w", err)
-	}
-	return &cp, nil
-}
-
-// checkpointSeqOf reads only a checkpoint file's coverage seq.
+// checkpointSeqOf reads only a checkpoint file's coverage seq, checking
+// its CRC as it reads to the end.
 func checkpointSeqOf(fs faultfs.FS, path string) (uint64, error) {
-	blob, err := fs.ReadFile(path)
+	f, err := fs.Open(path)
 	if err != nil {
 		return 0, err
 	}
-	payload, _, err := ckpt.Unseal(blob)
-	if err != nil {
-		return 0, err
-	}
-	var hdr struct {
-		Seq uint64 `json:"seq"`
-	}
-	if err := json.Unmarshal(payload, &hdr); err != nil {
-		return 0, err
-	}
-	return hdr.Seq, nil
+	defer f.Close()
+	return ckpt.ReadSeq(f)
 }
 
 // quarantineCheckpoint renames a checkpoint that failed its CRC or
@@ -517,13 +603,14 @@ func (s *Service) quarantineCheckpoint(path string) {
 	}
 }
 
-// recover loads the newest checkpoint that verifies and decodes —
+// recover streams in the newest checkpoint that verifies and decodes —
 // falling back through retained generations when the live file is
-// corrupt, at the cost of a longer WAL replay — re-derives all
-// in-memory state from it, opens the WAL (repairing a torn tail), and
-// replays every record after the checkpoint through the normal apply
-// path. Corrupt candidates are quarantined aside, not deleted. Runs in
-// New, before the worker starts.
+// corrupt or unreadable, at the cost of a longer WAL replay —
+// re-derives all in-memory state from it, opens the WAL (repairing a
+// torn tail), and replays every record after the checkpoint through the
+// normal apply path. Corrupt candidates are quarantined aside, not
+// deleted; unreadable ones stay where they are. Runs in New, before the
+// worker starts.
 func (s *Service) recover() error {
 	dcfg := s.cfg.Durability
 	dir := dcfg.Dir
@@ -548,40 +635,35 @@ func (s *Service) recover() error {
 	var recoveryErrs []string
 	fellPast := false // a candidate existed but failed; the restore below is a fallback
 	for _, path := range candidates {
-		blob, rerr := s.fs.ReadFile(path)
-		if rerr != nil {
-			if !errors.Is(rerr, os.ErrNotExist) {
-				// A read error may be transient (the device, not the
-				// bytes): fall back without quarantining the file.
-				recoveryErrs = append(recoveryErrs, fmt.Sprintf("checkpoint recovery: %s: %v", path, rerr))
-				fellPast = true
-			}
+		f, err := s.fs.Open(path)
+		if errors.Is(err, os.ErrNotExist) {
 			// A merely absent candidate (no live checkpoint after a
 			// quarantine, a pruned generation) is the normal shape of
 			// the chain, not a fallback incident.
 			continue
 		}
-		cp, derr := decodeCheckpoint(blob)
-		if derr == nil {
-			if err := s.resetState(); err != nil {
-				return err
-			}
-			derr = s.restoreCheckpoint(cp)
+		if err == nil {
+			err = ckpt.Decode(f, s.restoreCheckpoint)
+			f.Close()
 		}
-		if derr != nil {
-			recoveryErrs = append(recoveryErrs, fmt.Sprintf("checkpoint recovery: %s: %v", path, derr))
+		if err == nil {
+			s.lastCkptSeq = s.applySeq
+			if fellPast {
+				s.ckptFallbacks++
+			}
+			break
+		}
+		recoveryErrs = append(recoveryErrs, fmt.Sprintf("checkpoint recovery: %s: %v", path, err))
+		fellPast = true
+		// Corrupt bytes are quarantined. A read error may be transient
+		// (the device, not the bytes): fall back without quarantining.
+		if errors.Is(err, ckpt.ErrCorrupt) {
 			s.quarantineCheckpoint(path)
-			fellPast = true
-			if err := s.resetState(); err != nil {
-				return err
-			}
-			continue
 		}
-		s.lastCkptSeq = cp.Seq
-		if fellPast {
-			s.ckptFallbacks++
+		// Discard what the failed stream restored before it failed.
+		if err := s.resetState(); err != nil {
+			return err
 		}
-		break
 	}
 	// Rebuild the retained-generation ledger from the files that
 	// survived; each one's coverage seq pins the WAL GC horizon. A
@@ -640,32 +722,102 @@ func (s *Service) recover() error {
 	return nil
 }
 
-// restoreCheckpoint re-derives the full in-memory state from a
-// checkpoint: dataset and instances from the events, enrichment from
-// the sample records, EPM clusterings from deterministic re-discovery
-// at the recorded watermarks, and the B partition from its state
-// record.
-func (s *Service) restoreCheckpoint(cp *checkpointFile) error {
-	if cp.Version != checkpointVersion {
-		return fmt.Errorf("stream: checkpoint version %d, want %d", cp.Version, checkpointVersion)
+// restoreCheckpoint streams one checkpoint payload into the freshly
+// reset state and re-derives the rest: events go straight into the
+// dataset (and instances out of them), sample records onto their
+// samples, EPM clusterings re-derive by deterministic re-discovery at
+// the recorded watermarks, and the B partition from its inputs. Only
+// the small fields decode whole. Keys may come in any order, except
+// that sample records must follow the events that introduce them.
+func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
+	var (
+		cp     checkpointFile // Version, Seq and the small fields; B.Inputs
+		dimIns [3][]epm.Instance
+		e      dataset.Event
+		se     sampleEnrichment
+	)
+	checkVersion := func() error {
+		if cp.Version != checkpointVersion {
+			return fmt.Errorf("stream: checkpoint version %d, want %d", cp.Version, checkpointVersion)
+		}
+		return nil
 	}
-	var dimIns [3][]epm.Instance
-	for _, e := range cp.Events {
-		if err := s.ds.AddEvent(e); err != nil {
-			return fmt.Errorf("stream: corrupt checkpoint: %w", err)
+	err := decodeObject(dec, func(key string) error {
+		switch key {
+		case "version":
+			if err := dec.Decode(&cp.Version); err != nil {
+				return err
+			}
+			return checkVersion()
+		case "seq":
+			return dec.Decode(&cp.Seq)
+		case "events":
+			return decodeArray(dec, func() error {
+				e = dataset.Event{}
+				if err := dec.Decode(&e); err != nil {
+					return err
+				}
+				if err := s.ds.AddEvent(e); err != nil {
+					return err
+				}
+				dimIns[0] = append(dimIns[0], e.EpsilonInstance())
+				dimIns[1] = append(dimIns[1], e.PiInstance())
+				if in, ok := e.MuInstance(); ok {
+					dimIns[2] = append(dimIns[2], in)
+				}
+				return nil
+			})
+		case "samples":
+			return decodeArray(dec, func() error {
+				se = sampleEnrichment{}
+				if err := dec.Decode(&se); err != nil {
+					return err
+				}
+				smp := s.ds.Sample(se.MD5)
+				if smp == nil {
+					return fmt.Errorf("stream: checkpoint enriches unknown sample %s", se.MD5)
+				}
+				smp.AVLabel, smp.AVLabels, smp.Profile = se.AVLabel, se.AVLabels, se.Profile
+				return nil
+			})
+		case "counters":
+			return dec.Decode(&cp.Counters)
+		case "dims":
+			return dec.Decode(&cp.Dims)
+		case "b":
+			return decodeObject(dec, func(key string) error {
+				switch key {
+				case "inputs":
+					return decodeArray(dec, func() error {
+						cp.B.Inputs = append(cp.B.Inputs, bcluster.IncrementalInput{})
+						return dec.Decode(&cp.B.Inputs[len(cp.B.Inputs)-1])
+					})
+				case "integrated":
+					return dec.Decode(&cp.B.Integrated)
+				case "epochs":
+					return dec.Decode(&cp.B.Epochs)
+				}
+				return dec.Decode(new(json.RawMessage))
+			})
+		case "retry":
+			return dec.Decode(&cp.Retry)
+		case "quarantined":
+			return dec.Decode(&cp.Quarantined)
+		case "clients":
+			return dec.Decode(&cp.Clients)
+		case "sample_clients":
+			return dec.Decode(&cp.SampleClients)
+		case "sample_groups":
+			return dec.Decode(&cp.SampleGroups)
 		}
-		dimIns[0] = append(dimIns[0], e.EpsilonInstance())
-		dimIns[1] = append(dimIns[1], e.PiInstance())
-		if in, ok := e.MuInstance(); ok {
-			dimIns[2] = append(dimIns[2], in)
-		}
+		// Unknown fields are ignored, as json.Unmarshal ignores them.
+		return dec.Decode(new(json.RawMessage))
+	})
+	if err != nil {
+		return err
 	}
-	for _, se := range cp.Samples {
-		smp := s.ds.Sample(se.MD5)
-		if smp == nil {
-			return fmt.Errorf("stream: checkpoint enriches unknown sample %s", se.MD5)
-		}
-		smp.AVLabel, smp.AVLabels, smp.Profile = se.AVLabel, se.AVLabels, se.Profile
+	if err := checkVersion(); err != nil {
+		return err
 	}
 	for i := range s.dims {
 		if err := s.dims[i].restore(cp.Dims[i], dimIns[i]); err != nil {
@@ -704,6 +856,49 @@ func (s *Service) restoreCheckpoint(cp *checkpointFile) error {
 	}
 	s.applySeq = cp.Seq
 	return nil
+}
+
+// decodeObject walks one JSON object, calling field with each key while
+// the decoder stands at its value; field must consume the value.
+func decodeObject(dec *json.Decoder, field func(key string) error) error {
+	if t, err := dec.Token(); err != nil {
+		return err
+	} else if t != json.Delim('{') {
+		return fmt.Errorf("expected an object, found %v", t)
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		if err := field(key.(string)); err != nil {
+			return err
+		}
+	}
+	_, err := dec.Token()
+	return err
+}
+
+// decodeArray walks one JSON array, calling elem while the decoder
+// stands at each element; elem must consume it. A null array is empty,
+// as json.Unmarshal has it.
+func decodeArray(dec *json.Decoder, elem func() error) error {
+	t, err := dec.Token()
+	switch {
+	case err != nil:
+		return err
+	case t == nil:
+		return nil
+	case t != json.Delim('['):
+		return fmt.Errorf("expected an array, found %v", t)
+	}
+	for dec.More() {
+		if err := elem(); err != nil {
+			return err
+		}
+	}
+	_, err = dec.Token()
+	return err
 }
 
 // restore rebuilds a dimension's derived state from the checkpointed

@@ -460,6 +460,101 @@ func TestCheckpointGenerationFallback(t *testing.T) {
 	}
 }
 
+// checkpointChain ingests events in batches of 100 through a durable
+// service, checkpointing after batches 2 and 5, so the live checkpoint
+// is large (several 64 KiB reads) and a retained generation stands
+// behind it. It returns the closed service's config and directory.
+func checkpointChain(t *testing.T, events []dataset.Event) (stream.Config, string) {
+	t.Helper()
+	dir := t.TempDir()
+	cfg := testConfig(8)
+	cfg.Durability = stream.Durability{Dir: dir, NoSync: true, Generations: 2}
+	svc, err := stream.New(cfg, fakeEnricher{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for bi := 0; bi*100 < len(events); bi++ {
+		if err := svc.Ingest(ctx, events[bi*100:(bi+1)*100]); err != nil {
+			t.Fatal(err)
+		}
+		if bi == 2 || bi == 5 {
+			if err := svc.Checkpoint(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	svc.Close()
+	fi, err := os.Stat(filepath.Join(dir, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() < 4*64<<10 {
+		t.Fatalf("live checkpoint is %d bytes; a second read would not land mid-file", fi.Size())
+	}
+	return cfg, dir
+}
+
+// recoverUnder restarts the chain's service on a filesystem whose
+// second read — inside the live checkpoint, the first file recovery
+// reads — draws the given fault, and checks the run converged on the
+// uninterrupted one.
+func recoverUnder(t *testing.T, kind faultfs.Kind) (stream.StorageStats, string) {
+	t.Helper()
+	events := cleanCorpus(900)
+	want := feedInterrupted(t, testConfig(8), events, 100, 0, 0)
+	cfg, dir := checkpointChain(t, events)
+	inj := faultfs.New(nil, faultfs.Config{Rules: []faultfs.Rule{{Op: faultfs.OpRead, At: 2, Kind: kind}}})
+	cfg.Durability.FS = inj
+	re, err := stream.New(cfg, fakeEnricher{})
+	if err != nil {
+		t.Fatalf("recovery under a %s read: %v", kind, err)
+	}
+	defer re.Close()
+	if err := re.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	compareServices(t, string(kind)+" read in the live checkpoint", re, want)
+	if got := inj.Stats().Faults[kind]; got != 1 {
+		t.Fatalf("injected %d %s faults, want 1", got, kind)
+	}
+	st := re.Stats()
+	// The fallback generation's WAL suffix replayed: batches 4..9.
+	if st.WAL.RecoveredRecords != 6 {
+		t.Fatalf("replayed %d records, want 6 (the suffix past generation 1)", st.WAL.RecoveredRecords)
+	}
+	return st.Storage, dir
+}
+
+// TestCheckpointReadErrorFallsBack: a read error in the middle of the
+// live checkpoint is the device's, not the file's. Recovery falls back
+// to the retained generation and leaves the live file where it is.
+func TestCheckpointReadErrorFallsBack(t *testing.T) {
+	st, dir := recoverUnder(t, faultfs.KindEIO)
+	if st.CheckpointFallbacks != 1 || st.CorruptCheckpoints != 0 {
+		t.Fatalf("storage ledger %+v, want 1 fallback and no quarantine", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint.json.corrupt")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a read error quarantined the live checkpoint: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint.json")); err != nil {
+		t.Fatalf("live checkpoint after a read error: %v", err)
+	}
+}
+
+// TestCheckpointBitFlipQuarantines: a bit flipped in a read in the
+// middle of the live checkpoint fails its CRC or its decode in the same
+// pass. Recovery quarantines the file and falls back.
+func TestCheckpointBitFlipQuarantines(t *testing.T) {
+	st, dir := recoverUnder(t, faultfs.KindFlip)
+	if st.CheckpointFallbacks != 1 || st.CorruptCheckpoints != 1 {
+		t.Fatalf("storage ledger %+v, want 1 fallback and 1 quarantined checkpoint", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint.json.corrupt")); err != nil {
+		t.Fatalf("flipped checkpoint not quarantined: %v", err)
+	}
+}
+
 // TestCheckpointFailuresDegradeToReadOnly checks the consecutive-
 // failure breaker: each failed checkpoint is reported to its caller and
 // counted, writes keep flowing meanwhile, and the third consecutive

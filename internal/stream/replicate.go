@@ -11,9 +11,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/ckpt"
 	"repro/internal/wal"
 )
 
@@ -67,26 +69,26 @@ func NewReplica(cfg Config, enricher Enricher) (*Service, error) {
 	return s, nil
 }
 
-// RestoreSnapshot installs a primary checkpoint into a fresh replica —
-// the bootstrap half of catch-up. The WAL suffix past the checkpoint's
-// seq then arrives through ApplyReplicated.
-func (s *Service) RestoreSnapshot(blob []byte) error {
+// RestoreSnapshot streams a primary checkpoint from r into a fresh
+// replica — the bootstrap half of catch-up — through the same restore
+// local recovery runs. r may carry the bare payload the publisher ships
+// or a file straight off a primary's disk with its CRC trailer. A
+// snapshot that fails to verify or decode leaves the replica fresh. The
+// WAL suffix past the checkpoint's seq then arrives through
+// ApplyReplicated.
+func (s *Service) RestoreSnapshot(r io.Reader) error {
 	if !s.replica {
 		return fmt.Errorf("stream: RestoreSnapshot on a non-replica service")
-	}
-	// decodeCheckpoint accepts sealed and unsealed blobs alike: the
-	// publisher ships the unsealed payload, but a snapshot read straight
-	// off a primary's disk still carries its CRC trailer.
-	cp, err := decodeCheckpoint(blob)
-	if err != nil {
-		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.applySeq != 0 || s.version != 0 {
 		return fmt.Errorf("stream: RestoreSnapshot on a non-fresh replica (applied seq %d)", s.applySeq)
 	}
-	if err := s.restoreCheckpoint(cp); err != nil {
+	if err := ckpt.Decode(r, s.restoreCheckpoint); err != nil {
+		if rerr := s.resetState(); rerr != nil {
+			return rerr
+		}
 		return err
 	}
 	s.version++

@@ -1,14 +1,17 @@
 package stream_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/stream"
 )
 
@@ -22,10 +25,12 @@ func shipTo(t *testing.T, rep, primary *stream.Service) {
 	if log == nil {
 		t.Fatal("primary has no replication source")
 	}
-	blob, err := os.ReadFile(filepath.Join(dir, "checkpoint.json"))
+	f, err := os.Open(filepath.Join(dir, "checkpoint.json"))
 	switch {
 	case err == nil:
-		if err := rep.RestoreSnapshot(blob); err != nil {
+		err := rep.RestoreSnapshot(f)
+		f.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
 	case errors.Is(err, os.ErrNotExist):
@@ -105,6 +110,16 @@ func TestReplicaEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rep.Close)
+	// A snapshot that fails its CRC is refused and leaves the replica
+	// fresh for the next bootstrap attempt, whatever it decoded first.
+	blob, err := os.ReadFile(filepath.Join(cfg.Durability.Dir, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)/2] ^= 1
+	if err := rep.RestoreSnapshot(bytes.NewReader(blob)); !errors.Is(err, ckpt.ErrCorrupt) || rep.AppliedSeq() != 0 {
+		t.Fatalf("corrupt snapshot: err %v, applied seq %d; want ErrCorrupt and a fresh replica", err, rep.AppliedSeq())
+	}
 	shipTo(t, rep, primary)
 	compareServices(t, "replica", rep, primary)
 	for _, dim := range []string{"epsilon", "pi", "mu"} {
@@ -167,7 +182,7 @@ func TestReplicaRefusesWritesAndGaps(t *testing.T) {
 	if err := std.ApplyReplicated(1, []byte(`{"kind":"batch"}`)); err == nil {
 		t.Fatal("ApplyReplicated on a standalone service must error")
 	}
-	if err := std.RestoreSnapshot([]byte(`{}`)); err == nil {
+	if err := std.RestoreSnapshot(strings.NewReader(`{}`)); err == nil {
 		t.Fatal("RestoreSnapshot on a standalone service must error")
 	}
 	if std.Stats().Role != stream.RoleStandalone {
@@ -178,7 +193,7 @@ func TestReplicaRefusesWritesAndGaps(t *testing.T) {
 	if err := rep.ApplyReplicated(1, []byte(`{"kind":"flush"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.RestoreSnapshot([]byte(`{"version":1}`)); err == nil {
+	if err := rep.RestoreSnapshot(strings.NewReader(`{"version":1}`)); err == nil {
 		t.Fatal("RestoreSnapshot after applied records must error")
 	}
 }
