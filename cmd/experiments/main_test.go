@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
 // captureStdout runs f while collecting everything written to stdout.
 func captureStdout(t *testing.T, f func() error) (string, error) {
@@ -97,5 +101,53 @@ func TestSelectorListCoversDispatch(t *testing.T) {
 	}
 	if validSelector("bogus") {
 		t.Error("bogus selector accepted")
+	}
+}
+
+// TestGolden pins every paper-facing number: the full -run all output for
+// the default scenario (seed 2010) and the small one must equal the
+// committed goldens byte for byte. Run with -update to rewrite them after
+// an intended change; the diff of the golden files is then the claim.
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		small bool
+	}{{"small", true}, {"default", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.small && testing.Short() {
+				t.Skip("paper-scale scenario skipped under -short")
+			}
+			got, err := captureStdout(t, func() error { return run(2010, tc.small, "all", 0) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", tc.name+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got == string(want) {
+				return
+			}
+			g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < max(len(g), len(w)); i++ {
+				var gl, wl string
+				if i < len(g) {
+					gl = g[i]
+				}
+				if i < len(w) {
+					wl = w[i]
+				}
+				if gl != wl {
+					t.Fatalf("%s: line %d differs (%d lines, golden %d):\n got: %q\nwant: %q", path, i+1, len(g), len(w), gl, wl)
+				}
+			}
+		})
 	}
 }
