@@ -206,9 +206,9 @@ func BenchmarkTable2IRC(b *testing.B) {
 	b.ReportMetric(float64(len(rows)), "channels")
 }
 
-// BenchmarkLSHvsExact is the scalability ablation behind the B-clustering
-// design (Bayer et al. NDSS'09): LSH candidate pruning vs the naive
-// O(n²) comparison, at increasing corpus sizes. The corpora come from
+// BenchmarkRunVsExact is the scalability ablation behind the B-clustering
+// design (Bayer et al. NDSS'09): Run's prefix-index candidate generation
+// vs the naive O(n²) comparison, at increasing corpus sizes. The corpora come from
 // internal/benchdata so cmd/benchjson measures the identical workload;
 // `make bench-json` serializes this trajectory to BENCH_bcluster.json.
 //
@@ -216,12 +216,12 @@ func BenchmarkTable2IRC(b *testing.B) {
 // their FeatureSet, so the first iteration pays the interning cost and
 // later ones measure the clustering hot path, matching the pipeline,
 // which also builds each profile's set exactly once).
-func BenchmarkLSHvsExact(b *testing.B) {
+func BenchmarkRunVsExact(b *testing.B) {
 	skipPaperScale(b)
 	cfg := bcluster.DefaultConfig()
-	for _, n := range benchdata.LSHSizes {
+	for _, n := range benchdata.RunSizes {
 		inputs := benchdata.Profiles(n)
-		b.Run(fmt.Sprintf("lsh-%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("run-%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var stats bcluster.Stats
 			for i := 0; i < b.N; i++ {

@@ -69,7 +69,9 @@ import (
 type Entry struct {
 	// Label distinguishes measurement campaigns (e.g. "pre-pr2", "post-pr2").
 	Label string `json:"label"`
-	// Bench is "lsh" (bcluster.Run) or "exact" (bcluster.RunExact).
+	// Bench is "run" (bcluster.Run) or "exact" (bcluster.RunExact).
+	// Older campaigns also carry "lsh": the MinHash/LSH clusterer that
+	// Run's exact join replaced.
 	Bench string `json:"bench"`
 	// N is the corpus size.
 	N int `json:"n"`
@@ -112,8 +114,11 @@ type StreamEntry struct {
 	// final flush, enrichment stubbed to a profile lookup).
 	NsPerEvent   int64   `json:"ns_per_event"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// HeapAllocBytes is the live heap after the replay and a forced GC —
-	// the bounded-memory evidence for sustained ingest.
+	// HeapAllocBytes is the live heap the deployment holds after the
+	// replay's final flush: HeapAlloc after a forced GC with the service
+	// still open, minus the same reading taken before it started.
+	// Campaigns older than the "run" bench key read it after Close, so
+	// their rows measure a closed service (0.17–0.25 MB at every n).
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
 	// MaxQueueDepth is the deepest the bounded ingest queue ever got.
 	MaxQueueDepth int `json:"max_queue_depth"`
@@ -258,9 +263,12 @@ func measureStream(label string, n, shards int) (StreamEntry, error) {
 	cfg := stream.DefaultConfig()
 	var elapsed time.Duration
 	var st stream.Stats
+	var heap uint64
 	for rep := 0; rep < 2; rep++ {
 		var d time.Duration
 		var err error
+		base := liveHeap()
+		var live uint64
 		if shards <= 1 {
 			var svc *stream.Service
 			svc, err = stream.New(cfg, enricher)
@@ -271,6 +279,7 @@ func measureStream(label string, n, shards int) (StreamEntry, error) {
 			err = stream.Replay(context.Background(), svc, events, 256)
 			d = time.Since(start)
 			st = svc.Stats()
+			live = liveHeap()
 			svc.Close()
 		} else {
 			var c *shard.Coordinator
@@ -292,6 +301,7 @@ func measureStream(label string, n, shards int) (StreamEntry, error) {
 			}
 			d = time.Since(start)
 			st = c.Stats().Aggregate
+			live = liveHeap()
 			c.Close()
 		}
 		if err != nil {
@@ -302,11 +312,9 @@ func measureStream(label string, n, shards int) (StreamEntry, error) {
 		}
 		if rep == 0 || d < elapsed {
 			elapsed = d
+			heap = live - min(live, base)
 		}
 	}
-	runtime.GC()
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
 	e := StreamEntry{
 		Label:           label,
 		N:               n,
@@ -315,7 +323,7 @@ func measureStream(label string, n, shards int) (StreamEntry, error) {
 		Shards:          shards,
 		NsPerEvent:      elapsed.Nanoseconds() / int64(len(events)),
 		EventsPerSec:    float64(len(events)) / elapsed.Seconds(),
-		HeapAllocBytes:  mem.HeapAlloc,
+		HeapAllocBytes:  heap,
 		MaxQueueDepth:   st.MaxQueueDepth,
 		EPMEpochs:       st.Epsilon.Epoch + st.Pi.Epoch + st.Mu.Epoch,
 		EPMFullRegroups: st.Epsilon.FullRegroups + st.Pi.FullRegroups + st.Mu.FullRegroups,
@@ -327,6 +335,15 @@ func measureStream(label string, n, shards int) (StreamEntry, error) {
 		label, n, shards, e.Events, e.NsPerEvent, e.EventsPerSec, e.HeapAllocBytes>>20,
 		e.EPMEpochs, e.EPMFullRegroups, e.BEpochs, e.BClusters)
 	return e, nil
+}
+
+// liveHeap returns HeapAlloc after a forced collection: the bytes
+// reachable at the call.
+func liveHeap() uint64 {
+	runtime.GC()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	return mem.HeapAlloc
 }
 
 // readFanN is the corpus size of the read-fan-out measurement: large
@@ -564,8 +581,8 @@ func run(path, label string) error {
 		return nil
 	}
 
-	for _, n := range benchdata.LSHSizes {
-		if err := measure("lsh", n, bcluster.Run); err != nil {
+	for _, n := range benchdata.RunSizes {
+		if err := measure("run", n, bcluster.Run); err != nil {
 			return err
 		}
 	}
@@ -606,7 +623,7 @@ func save(path string, entries []Entry) error {
 	sort.Slice(entries, func(a, b int) bool {
 		x, y := entries[a], entries[b]
 		if x.Bench != y.Bench {
-			return x.Bench < y.Bench // "exact" before "lsh"
+			return x.Bench < y.Bench // "exact", then "lsh", then "run"
 		}
 		if x.N != y.N {
 			return x.N < y.N

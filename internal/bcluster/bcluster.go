@@ -1,44 +1,36 @@
-// Package bcluster implements scalable behavior-based malware clustering
-// after Bayer et al. (NDSS'09), the system behind the Anubis B-clusters
-// the paper correlates against.
+// Package bcluster implements behavior-based malware clustering after
+// Bayer et al. (NDSS'09), the system behind the Anubis B-clusters the
+// paper correlates against: two samples are linked when the Jaccard
+// similarity of their behavioral profiles (feature sets) reaches a
+// threshold, and clusters are the single-linkage closure of the links.
 //
-// Samples are represented by behavioral profiles (feature sets). Instead
-// of computing all O(n²) pairwise distances, profiles are summarized by
-// MinHash signatures; locality-sensitive hashing over signature bands
-// proposes candidate pairs, whose exact Jaccard similarity is then
-// verified; single-linkage clustering (transitive closure over verified
-// links, i.e. union-find) produces the final clusters.
+// Instead of computing all O(n²) pairwise similarities, every sample is
+// posted in an inverted index under its prefix tokens: the smallest
+// hashes of its sorted feature set, as many as a pair at the threshold
+// needs to share one (a prefix-filter similarity join, Bayardo et al.,
+// WWW'07). A new sample probes the postings of its own prefix tokens,
+// every candidate pair is verified by exact Jaccard, and a union-find
+// closes the verified links. Every pair at or above the threshold shares
+// a prefix token, so the partition is exactly the one the all-pairs rule
+// gives. Run, the streaming Incremental and the shard Merge share this
+// one engine.
 //
-// The package also exposes an exact O(n²) baseline used by the ablation
-// benchmarks to reproduce the scalability claim.
+// RunExact, the naive all-pairs comparison, is the test oracle and the
+// baseline of the scalability ablation.
 package bcluster
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/behavior"
 )
 
 // Config are the clustering parameters.
 type Config struct {
-	// NumHashes is the MinHash signature length; it must equal Bands*Rows.
-	NumHashes int
-	// Bands is the number of LSH bands.
-	Bands int
 	// Threshold is the minimum exact Jaccard similarity for two samples to
 	// be linked.
 	Threshold float64
-	// Seed decorrelates the hash family.
-	Seed uint64
-	// Workers bounds the goroutines of both parallel stages — MinHash
-	// signature construction and exact-Jaccard candidate verification; 0
-	// defers to core.Scenario.Parallelism (and ultimately GOMAXPROCS).
-	// Clusters and Stats are byte-identical at every worker count.
-	Workers int
 
 	// Online poisoning defenses (see defense.go). All three default to
 	// zero = off; with every knob at zero the incremental clusterer runs
@@ -57,19 +49,13 @@ type Config struct {
 }
 
 // DefaultConfig mirrors the regime of the original system: a 0.7
-// similarity threshold with a signature of 96 hashes in 32 bands of 3.
+// similarity threshold.
 func DefaultConfig() Config {
-	return Config{NumHashes: 96, Bands: 32, Threshold: 0.7, Seed: 0x5eed}
+	return Config{Threshold: 0.7}
 }
 
 // Validate checks parameter consistency.
 func (c Config) Validate() error {
-	if c.NumHashes <= 0 || c.Bands <= 0 {
-		return fmt.Errorf("bcluster: NumHashes (%d) and Bands (%d) must be positive", c.NumHashes, c.Bands)
-	}
-	if c.NumHashes%c.Bands != 0 {
-		return fmt.Errorf("bcluster: NumHashes (%d) must be a multiple of Bands (%d)", c.NumHashes, c.Bands)
-	}
 	if c.Threshold <= 0 || c.Threshold > 1 {
 		return fmt.Errorf("bcluster: Threshold %v outside (0,1]", c.Threshold)
 	}
@@ -124,9 +110,10 @@ type Stats struct {
 	// Samples is the input size.
 	Samples int
 	// CandidatePairs is the number of pairs whose exact Jaccard was
-	// computed: the LSH-proposed pairs that component pruning, the size
-	// bound (sizesCannotLink) and the failed-pair memo let through. It
-	// equals all pairs for the exact baseline.
+	// computed — the pairs sharing a prefix token that the same-component
+	// skip, the size bound (sizesCannotLink) and the per-probe stamp let
+	// through — plus one for each duplicate linked to the first copy of
+	// its set by content. It equals all pairs for the exact baseline.
 	CandidatePairs int
 	// Links is the number of pairs whose exact similarity passed the
 	// threshold.
@@ -152,233 +139,27 @@ func (r *Result) Singletons() []Cluster {
 	return out
 }
 
-// Run clusters the inputs with MinHash+LSH candidate generation.
-//
-// The hot path is staged. (1) A worker pool interns every profile into a
-// behavior.FeatureSet and computes its MinHash signature from the
-// precomputed feature hashes. (2) Per LSH band, a bucket scan proposes
-// candidate pairs: buckets whose members already share one union-find
-// component are skipped after a single linear root scan, pairs whose
-// sizes alone rule out a link are rejected in O(1), and pairs that
-// failed verification in an earlier band are deduplicated via packed
-// uint64(i)<<32|j keys. (3) The remaining multi-component buckets are
-// verified by a bounded worker pool computing merge-based exact Jaccard;
-// the verified links are applied to the union-find in sorted order
-// behind a per-band barrier. Every stage partitions work independently
-// of scheduling, so Clusters and Stats are byte-identical at any
-// Config.Workers value.
+// Run clusters the inputs in one verification epoch of an Incremental:
+// the inputs are added in order and verified once, so a batch run, the
+// streaming clusterer and a checkpoint restore walk the same probe
+// sequence. The defense knobs are ignored: Run is the undefended
+// reference.
 func Run(inputs []Input, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(inputs) > math.MaxUint32 {
-		return nil, fmt.Errorf("bcluster: %d inputs overflow the packed pair keys", len(inputs))
+	cfg.MergeResistance, cfg.TrustPenalty, cfg.GroupQuorum = 0, 0, 0
+	inc, err := NewIncremental(cfg)
+	if err != nil {
+		return nil, err
 	}
-	ids := make(map[string]bool, len(inputs))
 	for _, in := range inputs {
-		if in.ID == "" {
-			return nil, fmt.Errorf("bcluster: input with empty ID")
-		}
-		if ids[in.ID] {
-			return nil, fmt.Errorf("bcluster: duplicate input ID %q", in.ID)
-		}
-		if in.Profile == nil {
-			return nil, fmt.Errorf("bcluster: input %q has nil profile", in.ID)
-		}
-		ids[in.ID] = true
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sets := make([]behavior.FeatureSet, len(inputs))
-	parallelChunks(len(inputs), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sets[i] = inputs[i].Profile.FeatureSet()
-		}
-	})
-
-	// Identical feature sets produce identical signatures, and sandbox
-	// runs of the same variant under the same environment outcomes are
-	// exact duplicates, so signatures are computed once per distinct set
-	// and shared. share[i] is the index of the first input with i's set.
-	share := make([]int, len(inputs))
-	reps := make([]int, 0, len(inputs))
-	canon := make(map[uint64][]int, len(inputs))
-	for i := range sets {
-		h := contentHash(sets[i])
-		rep := -1
-		for _, c := range canon[h] {
-			if featureSetsEqual(sets[c], sets[i]) {
-				rep = c
-				break
-			}
-		}
-		if rep == -1 {
-			canon[h] = append(canon[h], i)
-			reps = append(reps, i)
-			rep = i
-		}
-		share[i] = rep
-	}
-	sigs := make([][]uint64, len(inputs))
-	parallelChunks(len(reps), workers, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			sigs[reps[k]] = signature(sets[reps[k]], cfg)
-		}
-	})
-	for i := range sigs {
-		if sigs[i] == nil {
-			sigs[i] = sigs[share[i]]
+		if err := inc.Add(in); err != nil {
+			return nil, err
 		}
 	}
-
-	rows := cfg.NumHashes / cfg.Bands
-	uf := newUnionFind(len(inputs))
-	roots := make([]int, len(inputs))
-	// failed holds the packed keys of pairs that already missed the
-	// threshold; verified pairs need no memo because their endpoints
-	// share a component from then on.
-	failed := make(map[uint64]struct{})
-	stats := Stats{Samples: len(inputs)}
-	buckets := newGrouper(len(inputs))
-	var jobs [][]int
-	var links []uint64
-
-	for band := 0; band < cfg.Bands; band++ {
-		for i := range roots {
-			roots[i] = uf.find(i)
-		}
-		buckets.reset()
-		for i, sig := range sigs {
-			buckets.add(bandKey(sig[band*rows:(band+1)*rows], uint64(band)), i)
-		}
-		// A bucket can only propose pairs when it spans more than one
-		// existing component; one linear root scan replaces the O(m²)
-		// pairwise find scan the serial implementation performed on
-		// every band revisit of an already-merged bucket.
-		jobs = jobs[:0]
-		for _, members := range buckets.groups[:buckets.used] {
-			if len(members) < 2 {
-				continue
-			}
-			r0 := roots[members[0]]
-			for _, m := range members[1:] {
-				if roots[m] != r0 {
-					jobs = append(jobs, members)
-					break
-				}
-			}
-		}
-		if len(jobs) == 0 {
-			continue
-		}
-		// Buckets of one band are member-disjoint, so they verify as
-		// self-contained jobs: each sees only the component structure
-		// from previous bands (roots) plus its own in-bucket merges.
-		verdicts := make([]bucketVerdict, len(jobs))
-		parallelChunks(len(jobs), workers, func(lo, hi int) {
-			scratch := newBucketScratch()
-			for k := lo; k < hi; k++ {
-				verdicts[k] = verifyBucket(jobs[k], roots, sets, failed, cfg.Threshold, scratch)
-			}
-		})
-		links = links[:0]
-		for k := range verdicts {
-			stats.CandidatePairs += verdicts[k].pairs
-			stats.Links += len(verdicts[k].links)
-			links = append(links, verdicts[k].links...)
-			for _, key := range verdicts[k].failed {
-				failed[key] = struct{}{}
-			}
-		}
-		// The components are union-order-independent, but a fixed order
-		// keeps the union-find layout — and with it the next band's
-		// roots snapshot — reproducible byte for byte.
-		sort.Slice(links, func(a, b int) bool { return links[a] < links[b] })
-		for _, key := range links {
-			uf.union(int(key>>32), int(key&math.MaxUint32))
-		}
-	}
-	return assemble(inputs, uf, stats), nil
-}
-
-// bucketVerdict is one bucket's verification outcome: how many candidate
-// pairs it proposed, and the packed keys of the pairs that passed
-// (links) or missed (failed) the similarity threshold.
-type bucketVerdict struct {
-	pairs  int
-	links  []uint64
-	failed []uint64
-}
-
-// bucketScratch is per-worker state reused across bucket jobs: a tiny
-// union-find over the distinct components represented in one bucket.
-type bucketScratch struct {
-	index  map[int]int32
-	parent []int32
-	ids    []int32
-}
-
-func newBucketScratch() *bucketScratch {
-	return &bucketScratch{index: make(map[int]int32)}
-}
-
-// verifyBucket replays the serial implementation's scan over one bucket:
-// pairs are visited in member order, pairs whose endpoints already share
-// a component (from previous bands, or merged earlier in this bucket)
-// are skipped, pairs the size bound rules out and previously failed
-// pairs are skipped, and every other pair is verified by exact Jaccard
-// over the interned feature sets. The verdict depends only on the
-// band-start roots and the failed set, never on scheduling.
-func verifyBucket(members []int, roots []int, sets []behavior.FeatureSet, failed map[uint64]struct{}, threshold float64, s *bucketScratch) bucketVerdict {
-	clear(s.index)
-	s.parent = s.parent[:0]
-	s.ids = s.ids[:0]
-	for _, m := range members {
-		id, ok := s.index[roots[m]]
-		if !ok {
-			id = int32(len(s.parent))
-			s.index[roots[m]] = id
-			s.parent = append(s.parent, id)
-		}
-		s.ids = append(s.ids, id)
-	}
-	parent := s.parent
-	var v bucketVerdict
-	for a := 0; a < len(members); a++ {
-		for b := a + 1; b < len(members); b++ {
-			la, lb := s.ids[a], s.ids[b]
-			for parent[la] != la {
-				parent[la] = parent[parent[la]]
-				la = parent[la]
-			}
-			for parent[lb] != lb {
-				parent[lb] = parent[parent[lb]]
-				lb = parent[lb]
-			}
-			if la == lb {
-				continue
-			}
-			i, j := members[a], members[b]
-			if sizesCannotLink(len(sets[i]), len(sets[j]), threshold) {
-				continue
-			}
-			key := uint64(i)<<32 | uint64(j)
-			if _, seen := failed[key]; seen {
-				continue
-			}
-			v.pairs++
-			if sets[i].Jaccard(sets[j]) >= threshold {
-				v.links = append(v.links, key)
-				s.parent[lb] = la
-			} else {
-				v.failed = append(v.failed, key)
-			}
-		}
-	}
-	return v
+	inc.Verify()
+	return inc.Result(), nil
 }
 
 // sizesCannotLink reports whether feature sets of sizes a and b are too
@@ -391,87 +172,48 @@ func sizesCannotLink(a, b int, t float64) bool {
 	return hi > 0 && float64(lo)/float64(hi) < t
 }
 
-// grouper buckets sample indices by band key, reusing its backing
-// storage across bands so the steady-state scan allocates nothing.
-// Groups are ordered by first appearance, i.e. by sample index.
-type grouper struct {
-	slot   map[uint64]int
-	groups [][]int
-	used   int
-}
-
-func newGrouper(n int) *grouper {
-	return &grouper{slot: make(map[uint64]int, n)}
-}
-
-func (g *grouper) reset() {
-	clear(g.slot)
-	for i := 0; i < g.used; i++ {
-		g.groups[i] = g.groups[i][:0]
-	}
-	g.used = 0
-}
-
-func (g *grouper) add(key uint64, i int) {
-	s, ok := g.slot[key]
-	if !ok {
-		s = g.used
-		g.slot[key] = s
-		if s == len(g.groups) {
-			g.groups = append(g.groups, nil)
-		}
-		g.used++
-	}
-	g.groups[s] = append(g.groups[s], i)
-}
-
-// parallelChunks splits [0,n) into one contiguous chunk per worker and
-// runs fn on each; with a single worker it runs inline. The partition is
-// a pure function of n and workers, never of scheduling, which is what
-// lets callers write results into disjoint slice ranges and stay
-// deterministic at any worker count.
-func parallelChunks(n, workers int, fn func(lo, hi int)) {
+// prefix returns the tokens a feature set is posted and probed under at
+// threshold t: its first n-o+1 hashes, where n is its size and o the least
+// overlap with float64(o)/float64(n) >= t. A pair at Jaccard >= t shares
+// at least that overlap — the union is at least n, and float64 division
+// rounds monotonically — so, in any fixed order of the hashes, it shares
+// its smallest common hash inside both prefixes (DESIGN.md §6). A raised
+// threshold needs a larger overlap, hence a shorter prefix, so the
+// postings at the base threshold cover every trust-raised one. Empty sets
+// are at Jaccard 1 with each other and share one token; should a real
+// hash equal it, the collision only adds candidates that verification
+// rejects.
+func prefix(fs behavior.FeatureSet, t float64) []uint64 {
+	n := len(fs)
 	if n == 0 {
-		return
+		return emptyPrefix
 	}
-	if workers > n {
-		workers = n
+	o := int(t * float64(n))
+	for o > 0 && float64(o-1)/float64(n) >= t {
+		o--
 	}
-	if workers <= 1 {
-		fn(0, n)
-		return
+	for float64(o)/float64(n) < t {
+		o++
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	return fs[:n-o+1]
 }
+
+var emptyPrefix = []uint64{0}
 
 // RunExact clusters the inputs with the naive all-pairs comparison. It is
-// the baseline for the LSH-vs-exact ablation; both must produce identical
-// clusters whenever LSH recall is sufficient. Verification uses the same
-// interned FeatureSet representation as Run, so the ablation isolates
-// candidate generation rather than Jaccard implementation details.
+// the test oracle for Run, which must produce the identical partition,
+// and the baseline of the scalability ablation. Verification uses the
+// same interned FeatureSet representation as Run, so the ablation
+// isolates candidate generation rather than Jaccard implementation
+// details.
 func RunExact(inputs []Input, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	sets := make([]behavior.FeatureSet, len(inputs))
-	parallelChunks(len(inputs), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sets[i] = inputs[i].Profile.FeatureSet()
-		}
-	})
+	for i, in := range inputs {
+		sets[i] = in.Profile.FeatureSet()
+	}
 	uf := newUnionFind(len(inputs))
 	stats := Stats{Samples: len(inputs)}
 	for i := 0; i < len(inputs); i++ {
@@ -524,74 +266,12 @@ func assembleRoots(inputs []Input, roots []int, stats Stats) *Result {
 	return res
 }
 
-// signature computes the MinHash signature from a profile's interned
-// feature hashes. Per feature, two base hashes are derived once and the
-// i-th hash function is h1 + i·h2 (double hashing after
-// Kirsch–Mitzenmacher): one add per slot instead of an independent
-// finalizer per slot. Together with reading precomputed feature hashes
-// instead of re-hashing strings, this is what makes signature
-// construction — the former hot spot — cheap (see BENCH_bcluster.json).
-func signature(fs behavior.FeatureSet, cfg Config) []uint64 {
-	sig := make([]uint64, cfg.NumHashes)
-	for i := range sig {
-		sig[i] = math.MaxUint64
-	}
-	if len(sig) == 96 {
-		// Fixed-size view of the default signature length: the array
-		// pointer removes bounds checks from the innermost loop.
-		s := (*[96]uint64)(sig)
-		for _, fh := range fs {
-			h := mix(fh ^ cfg.Seed)
-			step := mix(fh+0x9e3779b97f4a7c15*(cfg.Seed|1)) | 1
-			for i := range s {
-				// Branchless min: the update rate decays harmonically
-				// across features, so a branch here mispredicts often.
-				s[i] = min(s[i], h)
-				h += step
-			}
-		}
-		return sig
-	}
-	for _, fh := range fs {
-		h := mix(fh ^ cfg.Seed)
-		step := mix(fh+0x9e3779b97f4a7c15*(cfg.Seed|1)) | 1
-		for i := range sig {
-			if h < sig[i] {
-				sig[i] = h
-			}
-			h += step
-		}
-	}
-	return sig
-}
-
-// contentHash folds a feature set into one 64-bit key for signature
-// deduplication; featureSetsEqual resolves the (astronomically rare)
-// fold collisions.
+// contentHash folds a feature set into one 64-bit key, under which the
+// incremental clusterer finds the first copy of a duplicate set.
 func contentHash(fs behavior.FeatureSet) uint64 {
 	h := uint64(len(fs)) * 0x9e3779b97f4a7c15
 	for _, v := range fs {
 		h = mix(h ^ v)
-	}
-	return h
-}
-
-func featureSetsEqual(a, b behavior.FeatureSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func bandKey(rows []uint64, band uint64) uint64 {
-	h := band*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-	for _, r := range rows {
-		h = mix(h ^ r)
 	}
 	return h
 }

@@ -3,6 +3,7 @@ package bcluster
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -25,11 +26,8 @@ func TestConfigValidate(t *testing.T) {
 		wantErr bool
 	}{
 		{"default", DefaultConfig(), false},
-		{"zero hashes", Config{Bands: 2, Threshold: 0.5}, true},
-		{"zero bands", Config{NumHashes: 8, Threshold: 0.5}, true},
-		{"not multiple", Config{NumHashes: 10, Bands: 4, Threshold: 0.5}, true},
-		{"zero threshold", Config{NumHashes: 8, Bands: 4}, true},
-		{"threshold above one", Config{NumHashes: 8, Bands: 4, Threshold: 1.5}, true},
+		{"zero threshold", Config{}, true},
+		{"threshold above one", Config{Threshold: 1.5}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -83,6 +81,11 @@ func TestRunGroupsIdenticalProfiles(t *testing.T) {
 	if got := len(res.Singletons()); got != 1 {
 		t.Errorf("singletons = %d, want 1", got)
 	}
+	// Each copy links to the first copy of its set by content: one
+	// candidate pair and one link per copy, and nothing else verified.
+	if want := (Stats{Samples: 11, CandidatePairs: 9, Links: 9}); res.Stats != want {
+		t.Errorf("stats = %+v, want %+v", res.Stats, want)
+	}
 }
 
 func TestRunRespectsThreshold(t *testing.T) {
@@ -128,8 +131,8 @@ func TestSingleLinkageChains(t *testing.T) {
 	}
 }
 
-func TestLSHMatchesExact(t *testing.T) {
-	// Random family-structured data: LSH and exact clustering must agree.
+func TestRunMatchesExact(t *testing.T) {
+	// Random family-structured data: Run and the all-pairs oracle agree.
 	r := simrng.New(42).Stream("families")
 	var inputs []Input
 	id := 0
@@ -152,7 +155,7 @@ func TestLSHMatchesExact(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	lsh, err := Run(inputs, cfg)
+	got, err := Run(inputs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,19 +163,19 @@ func TestLSHMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lsh.Clusters) != len(exact.Clusters) {
-		t.Fatalf("LSH clusters = %d, exact = %d", len(lsh.Clusters), len(exact.Clusters))
+	if len(got.Clusters) != len(exact.Clusters) {
+		t.Fatalf("Run clusters = %d, exact = %d", len(got.Clusters), len(exact.Clusters))
 	}
 	for _, in := range inputs {
 		// Cluster IDs are assigned identically (size-sorted), so the
 		// partition must match member-by-member.
-		if lsh.ClusterOf(in.ID) != exact.ClusterOf(in.ID) {
-			t.Fatalf("sample %s: lsh cluster %d != exact %d", in.ID, lsh.ClusterOf(in.ID), exact.ClusterOf(in.ID))
+		if got.ClusterOf(in.ID) != exact.ClusterOf(in.ID) {
+			t.Fatalf("sample %s: Run cluster %d != exact %d", in.ID, got.ClusterOf(in.ID), exact.ClusterOf(in.ID))
 		}
 	}
-	if lsh.Stats.CandidatePairs >= exact.Stats.CandidatePairs {
-		t.Errorf("LSH did not prune: %d candidates vs %d all-pairs",
-			lsh.Stats.CandidatePairs, exact.Stats.CandidatePairs)
+	if got.Stats.CandidatePairs >= exact.Stats.CandidatePairs {
+		t.Errorf("Run did not prune: %d candidates vs %d all-pairs",
+			got.Stats.CandidatePairs, exact.Stats.CandidatePairs)
 	}
 }
 
@@ -228,80 +231,11 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// fragileInputs models a fragility-heavy landscape without pulling the
-// sandbox in: each family has a stable core, but many members execute a
-// degraded run — a random prefix of the core plus run-specific noise
-// features — exactly the §4.2 profile variability that produces
-// borderline similarities and singleton B-clusters.
-func fragileInputs(n int) []Input {
-	r := simrng.New(13).Stream("fragile")
-	inputs := make([]Input, 0, n)
-	for i := 0; i < n; i++ {
-		fam := i % 15
-		p := behavior.NewProfile()
-		core := 16
-		if r.Float64() < 0.4 { // degraded run: truncated core + noise
-			core = 4 + r.Intn(12)
-			for k := 0; k < 1+r.Intn(4); k++ {
-				p.Add(fmt.Sprintf("s%d-crash%d", i, k))
-			}
-		}
-		for k := 0; k < core; k++ {
-			p.Add(fmt.Sprintf("fam%d-f%d", fam, k))
-		}
-		inputs = append(inputs, Input{ID: fmt.Sprintf("s%04d", i), Profile: p})
-	}
-	return inputs
-}
-
-// TestRunWorkerCountInvariance pins the parallel-verification contract:
-// Run produces byte-identical Clusters AND Stats whether the candidate
-// pipeline is pinned to one worker or fanned out over eight, on a
-// fragility-heavy landscape where verification order could plausibly
-// change union-find evolution.
-func TestRunWorkerCountInvariance(t *testing.T) {
-	inputs := fragileInputs(400)
-	for _, threshold := range []float64{0.5, 0.7} {
-		cfg := DefaultConfig()
-		cfg.Threshold = threshold
-		cfg.Workers = 1
-		seq, err := Run(inputs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Workers = 8
-		par, err := Run(inputs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Stats != par.Stats {
-			t.Fatalf("threshold %v: stats differ: workers=1 %+v, workers=8 %+v",
-				threshold, seq.Stats, par.Stats)
-		}
-		if len(seq.Clusters) != len(par.Clusters) {
-			t.Fatalf("threshold %v: cluster counts differ: %d vs %d",
-				threshold, len(seq.Clusters), len(par.Clusters))
-		}
-		for i := range seq.Clusters {
-			a, b := seq.Clusters[i], par.Clusters[i]
-			if a.ID != b.ID || len(a.Members) != len(b.Members) {
-				t.Fatalf("threshold %v: cluster %d shape differs", threshold, i)
-			}
-			for j := range a.Members {
-				if a.Members[j] != b.Members[j] {
-					t.Fatalf("threshold %v: cluster %d member %d: %q vs %q",
-						threshold, i, j, a.Members[j], b.Members[j])
-				}
-			}
-		}
-	}
-}
-
-// TestLSHMatchesExactStraddlingThreshold is the differential test the
-// hot-path rewrite must pass: family similarities engineered to land on
-// both sides of the 0.7 default threshold, where a missed candidate or a
+// TestRunMatchesExactStraddlingThreshold is the differential test the
+// hot path must pass: family similarities engineered to land on both
+// sides of the 0.7 default threshold, where a missed candidate or a
 // verification-order change would flip the partition.
-func TestLSHMatchesExactStraddlingThreshold(t *testing.T) {
+func TestRunMatchesExactStraddlingThreshold(t *testing.T) {
 	r := simrng.New(21).Stream("straddle")
 	var inputs []Input
 	id := 0
@@ -322,7 +256,7 @@ func TestLSHMatchesExactStraddlingThreshold(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	lsh, err := Run(inputs, cfg)
+	got, err := Run(inputs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,20 +264,114 @@ func TestLSHMatchesExactStraddlingThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lsh.Clusters) != len(exact.Clusters) {
-		t.Fatalf("LSH clusters = %d, exact = %d", len(lsh.Clusters), len(exact.Clusters))
+	if len(got.Clusters) != len(exact.Clusters) {
+		t.Fatalf("Run clusters = %d, exact = %d", len(got.Clusters), len(exact.Clusters))
 	}
-	// The exact baseline counts every threshold-passing pair; LSH prunes
+	// The exact baseline counts every threshold-passing pair; Run prunes
 	// candidates already linked into one component, so its link count is a
 	// (positive) lower bound.
-	if lsh.Stats.Links == 0 || lsh.Stats.Links > exact.Stats.Links {
-		t.Errorf("LSH links = %d, exact = %d (want 0 < lsh <= exact)",
-			lsh.Stats.Links, exact.Stats.Links)
+	if got.Stats.Links == 0 || got.Stats.Links > exact.Stats.Links {
+		t.Errorf("Run links = %d, exact = %d (want 0 < Run <= exact)",
+			got.Stats.Links, exact.Stats.Links)
 	}
 	for _, in := range inputs {
-		if lsh.ClusterOf(in.ID) != exact.ClusterOf(in.ID) {
-			t.Fatalf("sample %s: lsh cluster %d != exact %d",
-				in.ID, lsh.ClusterOf(in.ID), exact.ClusterOf(in.ID))
+		if got.ClusterOf(in.ID) != exact.ClusterOf(in.ID) {
+			t.Fatalf("sample %s: Run cluster %d != exact %d",
+				in.ID, got.ClusterOf(in.ID), exact.ClusterOf(in.ID))
+		}
+	}
+}
+
+// TestPrefixesShareATokenAboveThreshold is the exactness property of the
+// prefix index: whenever two sets are at Jaccard >= t, their prefixes at
+// the base threshold share a token, so the probe proposes the pair. The
+// sets are random sorted hash sets of size 0–40; t runs from the base
+// 0.7 through trust-raised values to 1.0, and the prefixes are also
+// taken at t itself, the shortest that may serve it.
+func TestPrefixesShareATokenAboveThreshold(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TrustPenalty = 0.3
+	var thresholds []float64
+	for d := 0; d <= 10; d++ {
+		thresholds = append(thresholds, cfg.effThreshold(float64(d)/10, 0))
+	}
+	thresholds = append(thresholds, 1)
+	r := simrng.New(29).Stream("prefix")
+	linked := 0
+	for trial := 0; trial < 20000; trial++ {
+		a, b := randomSetPair(r, r.Intn(41), r.Intn(41))
+		if trial%4 == 0 { // near-equal sizes land near and above 0.7 more often
+			n := r.Intn(41)
+			a, b = randomSetPair(r, n, max(0, n-r.Intn(3)))
+		}
+		j := a.Jaccard(b)
+		for _, th := range thresholds {
+			if j < th {
+				continue
+			}
+			linked++
+			for _, base := range []float64{cfg.Threshold, th} {
+				if !sharesToken(prefix(a, base), prefix(b, base)) {
+					t.Fatalf("sizes %d/%d at J=%v >= t=%v: prefixes at %v share no token\n a=%x\n b=%x",
+						len(a), len(b), j, th, base, a, b)
+				}
+			}
+		}
+	}
+	if linked < 1000 {
+		t.Fatalf("only %d pairs at or above a threshold; the sweep tests too little", linked)
+	}
+}
+
+func sharesToken(a, b []uint64) bool {
+	for _, x := range a {
+		if slices.Contains(b, x) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRunMatchesExactProperty compares Run's partition with the all-pairs
+// oracle over random family corpora whose pairs straddle each threshold:
+// degraded runs keep a random part of the family core plus run-specific
+// noise, and some runs repeat another member's set exactly, which takes
+// the duplicate shortcut.
+func TestRunMatchesExactProperty(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		r := simrng.New(seed).Stream("property")
+		var inputs []Input
+		var sets [][]string
+		for i := 0; i < 150; i++ {
+			var feats []string
+			if i > 0 && r.Float64() < 0.2 {
+				feats = sets[r.Intn(len(sets))]
+			} else {
+				fam := r.Intn(6)
+				for k := 0; k < 4+r.Intn(16); k++ {
+					feats = append(feats, fmt.Sprintf("fam%d-f%d", fam, k))
+				}
+				for k := 0; k < r.Intn(5); k++ {
+					feats = append(feats, fmt.Sprintf("s%d-noise%d", i, k))
+				}
+			}
+			sets = append(sets, feats)
+			inputs = append(inputs, Input{ID: fmt.Sprintf("s%03d", i), Profile: mkProfile(feats...)})
+		}
+		for _, th := range []float64{0.5, 0.7, 0.85, 1} {
+			cfg := DefaultConfig()
+			cfg.Threshold = th
+			got, err := Run(inputs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunExact(inputs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Clusters, want.Clusters) {
+				t.Fatalf("seed %d, t=%v: Run gives %d clusters, RunExact %d", seed, th, len(got.Clusters), len(want.Clusters))
+			}
 		}
 	}
 }
@@ -416,33 +444,6 @@ func TestSizeBoundNeverDropsALink(t *testing.T) {
 	}
 }
 
-func TestSignatureSimilarityConcentration(t *testing.T) {
-	// MinHash property: signature agreement approximates Jaccard.
-	cfg := DefaultConfig()
-	a := behavior.NewProfile()
-	b := behavior.NewProfile()
-	for i := 0; i < 60; i++ {
-		a.Add(fmt.Sprintf("shared%d", i))
-		b.Add(fmt.Sprintf("shared%d", i))
-	}
-	for i := 0; i < 20; i++ {
-		a.Add(fmt.Sprintf("onlya%d", i))
-		b.Add(fmt.Sprintf("onlyb%d", i))
-	}
-	// True Jaccard = 60/100 = 0.6.
-	sa, sb := signature(a.FeatureSet(), cfg), signature(b.FeatureSet(), cfg)
-	agree := 0
-	for i := range sa {
-		if sa[i] == sb[i] {
-			agree++
-		}
-	}
-	got := float64(agree) / float64(len(sa))
-	if got < 0.45 || got > 0.75 {
-		t.Errorf("signature agreement %.2f too far from true Jaccard 0.6", got)
-	}
-}
-
 func benchInputs(n int) []Input {
 	r := simrng.New(1).Stream("bench")
 	inputs := make([]Input, 0, n)
@@ -460,7 +461,7 @@ func benchInputs(n int) []Input {
 	return inputs
 }
 
-func BenchmarkRunLSH1000(b *testing.B) {
+func BenchmarkRun1000(b *testing.B) {
 	inputs := benchInputs(1000)
 	cfg := DefaultConfig()
 	b.ReportAllocs()

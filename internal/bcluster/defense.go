@@ -13,7 +13,7 @@ import "sort"
 //     joins one cluster at a time, because a sample genuinely similar to
 //     two big clusters implies the clusters are similar to each other
 //     and would have merged on their own. The sample is held in
-//     quarantine: it joins no component and no LSH bucket. A hold
+//     quarantine: it joins no component and no posting list. A hold
 //     records one attested member from each side. Corroboration lifts
 //     it: a later sample attesting the same component pair that is
 //     dissimilar to every bridge already held there is an independent
@@ -47,9 +47,11 @@ import "sort"
 // so a drained stream reaches a stable state.
 //
 // In defended mode a probe must see all of a sample's links before the
-// hold and park rules decide, so it visits each bucket member once, with
-// no same-component pruning and no failed-pair memo; a released hold is
-// probed a second time. Probe statistics therefore differ from the
+// hold and park rules decide, so it visits each posted sample once, with
+// no same-component pruning, no failed-pair stamp and no duplicate
+// shortcut (with a trust penalty, a copy of a set can clear the threshold
+// against a sample its first copy fails); a released hold is probed a
+// second time. Probe statistics therefore differ from the
 // undefended path (they are path-dependent anyway); the membership
 // partition is exact. The size bound applies at each pair's effective
 // threshold.
@@ -223,19 +225,17 @@ func (cfg Config) effThreshold(a, b float64) float64 {
 	return t
 }
 
-// collectLinks probes sample j against every band bucket and returns the
-// indices whose exact Jaccard clears the pair's effective threshold, in
-// deterministic probe order. Unlike the undefended path it visits each
-// member once through its own seen set instead of the failed-pair memo,
-// and does not insert j into the buckets.
+// collectLinks probes sample j against the postings of its prefix tokens
+// and returns the indices whose exact Jaccard clears the pair's effective
+// threshold, in deterministic probe order. Unlike the undefended path it
+// visits each member once through its own seen set instead of the
+// failed-pair stamp, and does not post j.
 func (inc *Incremental) collectLinks(j int) []int {
-	sig := inc.sigs[j]
 	in := inc.inputs[j]
 	var links []int
 	seen := make(map[int]bool)
-	for band := 0; band < inc.cfg.Bands; band++ {
-		key := bandKey(sig[band*inc.rows:(band+1)*inc.rows], uint64(band))
-		b := inc.buckets[band][key]
+	for _, tok := range prefix(inc.sets[j], inc.cfg.Threshold) {
+		b := inc.index[tok]
 		if b == nil {
 			continue
 		}
@@ -258,19 +258,18 @@ func (inc *Incremental) collectLinks(j int) []int {
 	return links
 }
 
-// admit inserts sample j into the LSH buckets and links it to its
+// admit posts sample j under its prefix tokens and links it to its
 // verified targets.
 func (inc *Incremental) admit(j int, links []int) {
-	sig := inc.sigs[j]
-	for band := 0; band < inc.cfg.Bands; band++ {
-		key := bandKey(sig[band*inc.rows:(band+1)*inc.rows], uint64(band))
-		b := inc.buckets[band][key]
+	for _, tok := range prefix(inc.sets[j], inc.cfg.Threshold) {
+		b := inc.index[tok]
 		if b == nil {
 			b = &bucket{}
-			inc.buckets[band][key] = b
+			inc.index[tok] = b
 		}
 		b.members = append(b.members, j)
 	}
+	inc.posted = append(inc.posted, j)
 	for _, i := range links {
 		inc.unionSized(i, j)
 	}

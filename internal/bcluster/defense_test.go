@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-// defenseCfg is a small-universe config for the synthetic defense tests:
-// 2-row bands make band collisions near-certain at the Jaccard levels the
-// tests use, so link formation is governed by the exact verify alone.
+// defenseCfg is the config of the synthetic defense tests: a 0.45
+// threshold lets their small hand-built profiles link at the Jaccard
+// levels the tests use.
 func defenseCfg() Config {
 	cfg := DefaultConfig()
-	cfg.Bands = 48
 	cfg.Threshold = 0.45
 	return cfg
 }

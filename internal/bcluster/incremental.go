@@ -3,47 +3,56 @@ package bcluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/behavior"
 )
 
 // Incremental is the streaming counterpart of Run: samples are added one
-// at a time, parked in a pending pool, and integrated into the LSH index
-// and the union-find at the next verification epoch (Verify).
+// at a time, parked in a pending pool, and integrated into the prefix
+// index and the union-find at the next verification epoch (Verify).
 //
 // The final partition is identical to the batch Run over the same
-// samples, regardless of arrival order or epoch boundaries: a pair is a
-// candidate exactly when the two signatures collide in at least one LSH
-// band — a property of the signatures alone — and the single-linkage
-// closure over the candidate pairs that pass the Jaccard threshold does
-// not depend on the order the links are discovered in. Stats, by
-// contrast, are path-dependent (the component pruning that avoids
-// re-verifying already-linked pairs fires at different points), so only
-// the membership partition is comparable across the two implementations.
+// samples, regardless of arrival order or epoch boundaries: every pair at
+// or above the threshold shares a prefix token, so the probe proposes
+// every link, and the single-linkage closure of the links does not
+// depend on the order they are discovered in. Stats, by contrast, are
+// path-dependent (the component pruning that avoids re-verifying
+// already-linked pairs fires at different points), so only the
+// membership partition is comparable across arrival orders; in one
+// arrival order they are the same whatever the epoch boundaries.
 //
 // An Incremental is not safe for concurrent use; the streaming service
 // serializes mutation on its ingest worker and snapshots under a lock.
 type Incremental struct {
-	cfg  Config
-	rows int
+	cfg Config
 
 	byID   map[string]int
 	inputs []Input
 	sets   []behavior.FeatureSet
-	sigs   [][]uint64
 
-	uf      *unionFind
-	buckets []map[uint64]*bucket // per band: band key -> integrated members
-	// failedIn is the failed-pair memo of one probe: failedIn[i] == j+1
+	uf *unionFind
+	// index posts each integrated sample under its prefix tokens (see
+	// prefix): token -> the samples posted under it, in posting order.
+	index map[uint64]*bucket
+	// posted lists the samples in the index, in posting order. A copy of
+	// an earlier set is linked to its first copy instead of being posted,
+	// and a quarantined sample is not posted.
+	posted []int
+	// firstCopy maps the content hash of each distinct set the undefended
+	// probe has posted to its first copy.
+	firstCopy map[uint64]int
+	// failedIn is the failed-pair stamp of one probe: failedIn[i] == j+1
 	// means pair (i, j) missed the threshold while sample j was being
-	// integrated. Probes run in strictly increasing j and no later probe
-	// forms pair (i, j) again, so older stamps are dead and the memo
-	// stays one word per sample, however many pairs fail.
+	// integrated. A pair can share several prefix tokens; the stamp keeps
+	// it from being verified twice. Probes run in strictly increasing j
+	// and no later probe forms pair (i, j) again, so older stamps are dead
+	// and the stamp stays one word per sample, however many pairs fail.
 	failedIn []uint32
 	stats    Stats
 
-	// integrated is the watermark: inputs[:integrated] are in the LSH
-	// index and the union-find; inputs[integrated:] are parked.
+	// integrated is the watermark: inputs[:integrated] are in the index
+	// and the union-find; inputs[integrated:] are parked.
 	integrated int
 	epochs     int
 	merges     int
@@ -58,16 +67,12 @@ func NewIncremental(cfg Config) (*Incremental, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	buckets := make([]map[uint64]*bucket, cfg.Bands)
-	for b := range buckets {
-		buckets[b] = make(map[uint64]*bucket)
-	}
 	inc := &Incremental{
-		cfg:     cfg,
-		rows:    cfg.NumHashes / cfg.Bands,
-		byID:    make(map[string]int),
-		buckets: buckets,
-		uf:      newUnionFind(0),
+		cfg:       cfg,
+		byID:      make(map[string]int),
+		index:     make(map[uint64]*bucket),
+		firstCopy: make(map[uint64]int),
+		uf:        newUnionFind(0),
 	}
 	if cfg.defenseEnabled() {
 		inc.def = &defenseState{
@@ -78,9 +83,9 @@ func NewIncremental(cfg Config) (*Incremental, error) {
 	return inc, nil
 }
 
-// Add parks one sample for the next verification epoch. The MinHash
-// signature is computed eagerly (it depends only on the profile), so
-// Verify is a pure probe-and-link pass.
+// Add parks one sample for the next verification epoch. The feature set
+// is interned eagerly (it depends only on the profile), so Verify is a
+// pure probe-and-link pass.
 func (inc *Incremental) Add(in Input) error {
 	if in.ID == "" {
 		return fmt.Errorf("bcluster: input with empty ID")
@@ -92,13 +97,11 @@ func (inc *Incremental) Add(in Input) error {
 		return fmt.Errorf("bcluster: input %q has nil profile", in.ID)
 	}
 	if len(inc.inputs) >= math.MaxUint32 {
-		return fmt.Errorf("bcluster: %d inputs overflow the packed pair keys", len(inc.inputs))
+		return fmt.Errorf("bcluster: %d inputs overflow the probe stamps", len(inc.inputs))
 	}
-	set := in.Profile.FeatureSet()
 	inc.byID[in.ID] = len(inc.inputs)
 	inc.inputs = append(inc.inputs, in)
-	inc.sets = append(inc.sets, set)
-	inc.sigs = append(inc.sigs, signature(set, inc.cfg))
+	inc.sets = append(inc.sets, in.Profile.FeatureSet())
 	inc.stats.Samples++
 	return nil
 }
@@ -118,10 +121,8 @@ func (inc *Incremental) Amend(id string, p *behavior.Profile) error {
 	if p == nil {
 		return fmt.Errorf("bcluster: amend of %q with nil profile", id)
 	}
-	set := p.FeatureSet()
 	inc.inputs[idx].Profile = p
-	inc.sets[idx] = set
-	inc.sigs[idx] = signature(set, inc.cfg)
+	inc.sets[idx] = p.FeatureSet()
 	return nil
 }
 
@@ -145,7 +146,7 @@ func (inc *Incremental) Has(id string) bool {
 }
 
 // Verify runs one verification epoch: every parked sample is probed
-// against the LSH index in arrival order, candidate pairs in different
+// against the prefix index in arrival order, candidate pairs in different
 // components are verified by exact Jaccard, passing pairs are linked, and
 // the sample joins the index. A no-op when nothing is parked.
 func (inc *Incremental) Verify() {
@@ -173,36 +174,46 @@ func (inc *Incremental) Verify() {
 	inc.epochs++
 }
 
-// bucket is one LSH band bucket of integrated sample indices. uniform is
-// a monotone watermark: members[:uniform] are known to be pairwise in the
-// same union-find component. Unions never split components, so the
-// watermark only ever advances.
+// bucket is the posting list of one prefix token. uniform is a monotone
+// watermark: members[:uniform] are known to be pairwise in the same
+// union-find component. Unions never split components, so the watermark
+// only ever advances.
 type bucket struct {
 	members []int
 	uniform int
 }
 
-// integrate probes sample j against every band bucket and links it into
-// the partition.
+// integrate probes sample j against the postings of its prefix tokens
+// and links it into the partition.
 //
-// The probe is what used to make Verify superlinear: a popular bucket is
-// history-sized, and every new collision rescanned all of it even though
-// almost every member was already in j's component (the scan skipped each
-// one individually after two find calls). The uniform watermark turns
-// that whole rescan into O(1): when the bucket is fully uniform and j
-// already shares its component, every pair (i, j) would take the
-// same-root skip — no candidate counted, no Jaccard run, no memo written,
-// no link made — so skipping the scan leaves partition and stats exactly
-// as the full scan would, byte for byte.
+// A copy of an already posted set links to the first copy and skips the
+// probe: the copy is at Jaccard 1 with it, and at the undefended path's
+// one threshold every other sample links to both or to neither.
+//
+// A popular posting list is history-sized, and almost every member is
+// already in j's component. The uniform watermark turns a rescan of such
+// a list into O(1): when the list is fully uniform and j already shares
+// its component, every pair (i, j) would take the same-root skip — no
+// candidate counted, no Jaccard run, no stamp written, no link made — so
+// skipping the scan leaves partition and stats exactly as the full scan
+// would, byte for byte.
 func (inc *Incremental) integrate(j int) {
-	sig := inc.sigs[j]
-	stamp := uint32(j) + 1
-	for band := 0; band < inc.cfg.Bands; band++ {
-		key := bandKey(sig[band*inc.rows:(band+1)*inc.rows], uint64(band))
-		b := inc.buckets[band][key]
+	set := inc.sets[j]
+	h := contentHash(set)
+	if c, ok := inc.firstCopy[h]; ok && slices.Equal(inc.sets[c], set) {
+		inc.stats.CandidatePairs++
+		inc.stats.Links++
+		inc.uf.union(c, j)
+		inc.merges++
+		return
+	} else if !ok {
+		inc.firstCopy[h] = j
+	}
+	for _, tok := range prefix(set, inc.cfg.Threshold) {
+		b := inc.index[tok]
 		if b == nil {
 			b = &bucket{}
-			inc.buckets[band][key] = b
+			inc.index[tok] = b
 		}
 		if len(b.members) > 0 {
 			r0 := inc.uf.find(b.members[0])
@@ -215,37 +226,49 @@ func (inc *Incremental) integrate(j int) {
 				continue
 			}
 		}
-		// The scan's remaining quadratic tail is j's FIRST collision with
-		// its component-to-be: j is not yet linked, so the fast path above
-		// misses and the scan walks the whole history-sized bucket even
-		// though every member past the first is a same-root skip once the
-		// first Jaccard links j in. Same cure as above: members[:uniform]
-		// are pairwise same-root, so the moment one of them shares j's
-		// root the rest of the prefix would all take the same-root skip —
-		// jump the cursor to the watermark instead of paying two finds per
-		// member. Only same-root pairs are skipped, so partition and stats
-		// stay byte-identical to the full scan.
-		for idx := 0; idx < len(b.members); idx++ {
-			i := b.members[idx]
-			if inc.uf.find(i) == inc.uf.find(j) {
-				if idx < b.uniform {
-					idx = b.uniform - 1
-				}
-				continue
-			}
-			if sizesCannotLink(len(inc.sets[i]), len(inc.sets[j]), inc.cfg.Threshold) || inc.failedIn[i] == stamp {
-				continue
-			}
-			inc.stats.CandidatePairs++
-			if inc.sets[i].Jaccard(inc.sets[j]) >= inc.cfg.Threshold {
-				inc.stats.Links++
-				inc.uf.union(i, j)
-				inc.merges++
-			} else {
-				inc.failedIn[i] = stamp
-			}
-		}
+		inc.scan(b, 0, j)
 		b.members = append(b.members, j)
+	}
+	inc.posted = append(inc.posted, j)
+}
+
+// scan verifies sample j against the members of posting list b, which
+// are numbered from off in j's numbering (Merge probes other parts' lists;
+// integrate passes 0), and links j to every member that clears the pair's
+// threshold.
+//
+// j's first link into a component otherwise walks the whole list even
+// though every member past the first is a same-root skip once that link
+// is made. members[:uniform] are pairwise same-root, so the moment one of
+// them shares j's root the rest of the prefix would all take the
+// same-root skip — the cursor jumps to the watermark instead of paying
+// two finds per member. Only same-root pairs are skipped, so partition
+// and stats stay byte-identical to the full scan.
+func (inc *Incremental) scan(b *bucket, off, j int) {
+	stamp := uint32(j) + 1
+	t := inc.cfg.Threshold
+	for idx := 0; idx < len(b.members); idx++ {
+		i := off + b.members[idx]
+		if inc.uf.find(i) == inc.uf.find(j) {
+			if idx < b.uniform {
+				idx = b.uniform - 1
+			}
+			continue
+		}
+		if inc.cfg.TrustPenalty > 0 {
+			t = inc.cfg.effThreshold(inc.inputs[i].Distrust, inc.inputs[j].Distrust)
+		}
+		if sizesCannotLink(len(inc.sets[i]), len(inc.sets[j]), t) || inc.failedIn[i] == stamp {
+			continue
+		}
+		inc.stats.CandidatePairs++
+		if inc.sets[i].Jaccard(inc.sets[j]) >= t {
+			inc.stats.Links++
+			inc.uf.union(i, j)
+			inc.merges++
+		} else {
+			inc.failedIn[i] = stamp
+		}
 	}
 }
 

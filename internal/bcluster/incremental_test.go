@@ -3,6 +3,7 @@ package bcluster
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/behavior"
@@ -126,7 +127,7 @@ func TestIncrementalCarriedStateMatchesFromScratch(t *testing.T) {
 }
 
 // TestIncrementalUniformBucketFastPath pins the optimization itself:
-// after repeated epochs over a family-structured corpus, band buckets
+// after repeated epochs over a family-structured corpus, posting lists
 // must be recognized as single-component (uniform watermark at the end),
 // which is what turns history-sized rescans into O(1) skips.
 func TestIncrementalUniformBucketFastPath(t *testing.T) {
@@ -144,53 +145,62 @@ func TestIncrementalUniformBucketFastPath(t *testing.T) {
 		}
 	}
 	big, uniform := 0, 0
-	for _, band := range inc.buckets {
-		for _, b := range band {
-			if len(b.members) < 4 {
-				continue
-			}
-			big++
-			if b.uniform == len(b.members) {
-				uniform++
-			}
+	for _, b := range inc.index {
+		if len(b.members) < 4 {
+			continue
+		}
+		big++
+		if b.uniform == len(b.members) {
+			uniform++
 		}
 	}
 	if big == 0 {
-		t.Fatal("corpus produced no populated band buckets; test is vacuous")
+		t.Fatal("corpus produced no populated posting lists; test is vacuous")
 	}
 	if uniform*2 < big {
 		t.Fatalf("only %d/%d populated buckets fully uniform; fast path not engaging", uniform, big)
 	}
 }
 
-// collidingBands counts the LSH bands in which two samples' signatures
-// share a bucket.
-func collidingBands(cfg Config, a, b *behavior.Profile) int {
-	sa, sb := signature(a.FeatureSet(), cfg), signature(b.FeatureSet(), cfg)
-	rows := cfg.NumHashes / cfg.Bands
+// lowFeatures returns n feature names tagged tag whose hashes lie in the
+// bottom 1/256 of the hash range, so they lead the sorted set — and fill
+// the prefix — of any profile that holds them beside ordinary features.
+func lowFeatures(tag string, n int) []string {
+	var out []string
+	for k := 0; len(out) < n; k++ {
+		if f := fmt.Sprintf("%s%d", tag, k); behavior.FeatureHash(f) < 1<<56 {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// sharedPrefixTokens counts the prefix tokens two profiles share at the
+// config's threshold: how many posting lists propose the pair.
+func sharedPrefixTokens(cfg Config, a, b *behavior.Profile) int {
 	n := 0
-	for band := 0; band < cfg.Bands; band++ {
-		lo, hi := band*rows, (band+1)*rows
-		if bandKey(sa[lo:hi], uint64(band)) == bandKey(sb[lo:hi], uint64(band)) {
+	for _, x := range prefix(a.FeatureSet(), cfg.Threshold) {
+		if slices.Contains(prefix(b.FeatureSet(), cfg.Threshold), x) {
 			n++
 		}
 	}
 	return n
 }
 
-// TestIncrementalFailedPairCountedOnce pins the per-probe memo: a pair
-// that fails the threshold but collides in several bands is verified
+// TestIncrementalFailedPairCountedOnce pins the per-probe stamp: a pair
+// that fails the threshold but shares several prefix tokens is verified
 // once, whichever epochs its two samples land in, and a restore replays
 // the same single verification. Two 10-feature profiles sharing 8
 // features have Jaccard 8/12 < 0.7 but equal sizes, so the size bound
-// lets them through to the memo; unrelated singletons pad the stream so
-// that the two samples fall into different epochs at most epoch sizes.
+// lets them through to the stamp; the shared features hash low, so both
+// prefixes consist of them. Unrelated singletons pad the stream so that
+// the two samples fall into different epochs at most epoch sizes.
 func TestIncrementalFailedPairCountedOnce(t *testing.T) {
 	cfg := DefaultConfig()
 	pa, pb := behavior.NewProfile(), behavior.NewProfile()
-	for k := 0; k < 8; k++ {
-		pa.Add(fmt.Sprintf("pair-core%d", k))
-		pb.Add(fmt.Sprintf("pair-core%d", k))
+	for _, f := range lowFeatures("pair-core", 8) {
+		pa.Add(f)
+		pb.Add(f)
 	}
 	pa.Add("pair-a0")
 	pa.Add("pair-a1")
@@ -199,8 +209,8 @@ func TestIncrementalFailedPairCountedOnce(t *testing.T) {
 	if j := pa.Jaccard(pb); j >= cfg.Threshold {
 		t.Fatalf("premise: pair Jaccard %v must fail %v", j, cfg.Threshold)
 	}
-	if n := collidingBands(cfg, pa, pb); n < 2 {
-		t.Fatalf("premise: pair collides in %d bands, want several", n)
+	if n := sharedPrefixTokens(cfg, pa, pb); n < 2 {
+		t.Fatalf("premise: pair shares %d prefix tokens, want several", n)
 	}
 	var inputs []Input
 	for i := 0; i < 100; i++ {
@@ -245,12 +255,14 @@ func TestIncrementalFailedPairCountedOnce(t *testing.T) {
 }
 
 // TestIncrementalMemoDoesNotGrowWithFailures is the white-box bound on
-// the failed-pair memo: it holds one stamp per sample, so its size after
+// the failed-pair stamp: it holds one word per sample, so its size after
 // Verify is independent of how many pairs failed. Every sample shares 8
-// of its 12 features with every other (Jaccard 0.5, equal sizes), so the
+// of its 12 features with every other (Jaccard 0.5, equal sizes), and the
+// shared features hash low, so every pair shares prefix tokens and the
 // number of failed pairs grows quadratically with the corpus.
 func TestIncrementalMemoDoesNotGrowWithFailures(t *testing.T) {
 	cfg := DefaultConfig()
+	core := lowFeatures("core", 8)
 	for _, n := range []int{40, 160} {
 		inc, err := NewIncremental(cfg)
 		if err != nil {
@@ -258,8 +270,8 @@ func TestIncrementalMemoDoesNotGrowWithFailures(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			p := behavior.NewProfile()
-			for k := 0; k < 8; k++ {
-				p.Add(fmt.Sprintf("core%d", k))
+			for _, f := range core {
+				p.Add(f)
 			}
 			for k := 0; k < 4; k++ {
 				p.Add(fmt.Sprintf("s%d-x%d", i, k))

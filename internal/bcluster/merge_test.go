@@ -87,8 +87,8 @@ func crossProfile(core string, shared int, tag string, distinct int) *behavior.P
 	return p
 }
 
-// TestMergeCrossShardCollisions engineers every LSH band collision to
-// straddle the shard boundary: similar pairs, a sub-threshold colliding
+// TestMergeCrossShardCollisions engineers every pair that shares a
+// prefix token to straddle the shard boundary: similar pairs, a sub-threshold colliding
 // pair, and a transitive chain all have their endpoints on different
 // shards, so the per-shard probes see nothing and the merge must find
 // every link. Clusters and Stats are asserted byte-identical to Run on
@@ -99,8 +99,8 @@ func TestMergeCrossShardCollisions(t *testing.T) {
 		// a≈b at Jaccard 20/24 ≈ 0.83: linked across the boundary.
 		{ID: "a", Profile: crossProfile("ab", 20, "a", 2)},
 		{ID: "b", Profile: crossProfile("ab", 20, "b", 2)},
-		// c~d at Jaccard 15/25 = 0.6: collides in some band, fails
-		// verification — exercises the cross-shard failed-pair memo.
+		// c~d at Jaccard 15/25 = 0.6: shares prefix tokens, fails
+		// verification — exercises the cross-shard failed-pair stamp.
 		{ID: "c", Profile: crossProfile("cd", 15, "c", 5)},
 		{ID: "d", Profile: crossProfile("cd", 15, "d", 5)},
 		// e≈f≈g: a chain whose closure spans both shards; e and g land
@@ -161,6 +161,37 @@ func TestMergeCrossShardCollisions(t *testing.T) {
 	}
 }
 
+// TestMergeLinksPairsPastTheFirstPart checks that every part probes the
+// indexes of all the parts before it: a similar pair whose endpoints sit
+// on the second and third parts links although the first part holds
+// nothing related.
+func TestMergeLinksPairsPastTheFirstPart(t *testing.T) {
+	cfg := DefaultConfig()
+	parts := make([]*Incremental, 3)
+	for i, in := range []Input{
+		{ID: "x", Profile: crossProfile("x", 9, "x", 0)},
+		{ID: "a", Profile: crossProfile("ab", 20, "a", 2)},
+		{ID: "b", Profile: crossProfile("ab", 20, "b", 2)},
+	} {
+		p, err := NewIncremental(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Add(in); err != nil {
+			t.Fatal(err)
+		}
+		p.Verify()
+		parts[i] = p
+	}
+	merged, err := Merge(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(merged.Clusters) != 2 || merged.ClusterOf("a") != merged.ClusterOf("b") {
+		t.Fatalf("pair a/b on parts 1 and 2 not linked: %+v", merged.Clusters)
+	}
+}
+
 // TestMergeParkedSamplesStaySingletons checks that samples still parked
 // on their shard surface as singletons, exactly as in the shard's own
 // Result.
@@ -200,7 +231,7 @@ func TestMergeInputValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	a, _ := NewIncremental(cfg)
 	other := cfg
-	other.Seed++
+	other.Threshold = 0.8
 	b, _ := NewIncremental(other)
 	if _, err := Merge([]*Incremental{a, b}); err == nil {
 		t.Fatal("mismatched configs did not fail")

@@ -8,7 +8,7 @@ import (
 
 // IncrementalInput is one sample's persisted clustering input: the ID
 // and the (sorted) behavioral features its profile reduces to. Those
-// two fields determine the signature, the feature set, and therefore
+// two fields determine the feature set, its prefix tokens, and therefore
 // the whole probe-and-link sequence. The defense fields (group,
 // distrust, status, hold pair) are populated only by defended
 // clusterers, so undefended snapshots serialize byte-identically to
@@ -26,7 +26,7 @@ type IncrementalInput struct {
 
 // IncrementalState is a serializable snapshot of an Incremental: the
 // inputs in arrival order, the integration watermark, and the epoch
-// counter. Everything else (LSH buckets, union-find, probe stats) is a
+// counter. Everything else (prefix index, union-find, probe stats) is a
 // deterministic function of these and is rebuilt by RestoreIncremental.
 // A live clusterer streams its snapshot instead of copying it: EachInput
 // yields the inputs, Samples()-Pending() is the watermark, and Epochs()
@@ -64,10 +64,13 @@ func (inc *Incremental) EachInput(fn func(*IncrementalInput)) {
 }
 
 // RestoreIncremental rebuilds a clusterer from a State snapshot. The
-// membership partition is identical to the snapshotted instance.
+// membership partition is identical to the snapshotted instance. A
+// snapshot that cannot come from a clusterer — an unknown status, or a
+// hold pair that is not two integrated indices — is refused before
+// anything is rebuilt.
 //
 // Undefended, the rebuild is byte-identical in full — partition,
-// buckets, and probe stats — because integration happens in strict
+// index, and probe stats — because integration happens in strict
 // arrival order regardless of how the original run partitioned it into
 // epochs: replaying the integrated prefix as one verification epoch
 // performs exactly the same probe sequence.
@@ -86,6 +89,17 @@ func RestoreIncremental(cfg Config, st IncrementalState) (*Incremental, error) {
 	}
 	if st.Integrated < 0 || st.Integrated > len(st.Inputs) {
 		return nil, fmt.Errorf("bcluster: restore watermark %d out of range [0,%d]", st.Integrated, len(st.Inputs))
+	}
+	for _, in := range st.Inputs {
+		if in.Status > StatusDrained {
+			return nil, fmt.Errorf("bcluster: restore: input %q has unknown status %d", in.ID, in.Status)
+		}
+		if in.HoldPair == nil {
+			continue
+		}
+		if len(in.HoldPair) != 2 || min(in.HoldPair[0], in.HoldPair[1]) < 0 || max(in.HoldPair[0], in.HoldPair[1]) >= st.Integrated {
+			return nil, fmt.Errorf("bcluster: restore: input %q holds pair %v, want two indices below the watermark %d", in.ID, in.HoldPair, st.Integrated)
+		}
 	}
 	add := func(in IncrementalInput) error {
 		p := behavior.NewProfile()

@@ -98,3 +98,39 @@ func TestRestoreIncrementalValidation(t *testing.T) {
 		t.Fatal("watermark beyond the inputs must error")
 	}
 }
+
+// TestRestoreIncrementalRejectsBadHoldPair: a held input whose hold pair
+// names a sample past the watermark is refused. Accepted, it crashed the
+// next Verify's release scan with an index out of range.
+func TestRestoreIncrementalRejectsBadHoldPair(t *testing.T) {
+	cfg := defenseCfg()
+	cfg.MergeResistance = 3
+	for _, pair := range [][]int{{999999, 0}, {0, 2}, {-1, 0}, {0}, {0, 1, 1}} {
+		st := IncrementalState{
+			Inputs: []IncrementalInput{
+				{ID: "a", Features: []string{"f"}},
+				{ID: "b", Features: []string{"g"}, Status: StatusHeld, HoldPair: pair},
+			},
+			Integrated: 2,
+			Epochs:     1,
+		}
+		if _, err := RestoreIncremental(cfg, st); err == nil {
+			t.Fatalf("hold pair %v accepted at watermark 2", pair)
+		}
+	}
+}
+
+// TestRestoreIncrementalRejectsUnknownStatus: a status no clusterer
+// records is refused instead of leaving the sample neither linked nor
+// quarantined.
+func TestRestoreIncrementalRejectsUnknownStatus(t *testing.T) {
+	st := IncrementalState{
+		Inputs:     []IncrementalInput{{ID: "a", Features: []string{"f"}, Status: StatusDrained + 1}},
+		Integrated: 1,
+	}
+	for _, cfg := range []Config{DefaultConfig(), {Threshold: 0.7, GroupQuorum: 2}} {
+		if _, err := RestoreIncremental(cfg, st); err == nil {
+			t.Fatalf("config %+v: unknown status accepted", cfg)
+		}
+	}
+}

@@ -170,7 +170,7 @@ func (p *Program) Validate() error {
 // the enrichment and clustering layers. The sorted snapshot (Features)
 // and the interned hash set (FeatureSet) are computed once on first use
 // and cached; Add invalidates the cache. The cache is safe under
-// concurrent readers, matching the bcluster worker pools.
+// concurrent readers.
 type Profile struct {
 	features map[string]struct{}
 
@@ -227,7 +227,7 @@ func (p *Profile) Features() []string {
 // FeatureSet returns the profile's interned hash set, built once per
 // profile and cached. The returned slice is shared and must be treated
 // as read-only; it is the representation the B-clustering hot path
-// (Jaccard verification and MinHash signatures) operates on.
+// (prefix index and Jaccard verification) operates on.
 func (p *Profile) FeatureSet() FeatureSet {
 	p.mu.Lock()
 	if p.set == nil {

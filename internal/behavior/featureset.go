@@ -3,8 +3,8 @@ package behavior
 import "sort"
 
 // FeatureHash returns the 64-bit FNV-1a hash of a feature string — the
-// interned integer representation used by FeatureSet and by the bcluster
-// MinHash signatures. Inlined (rather than hash/fnv) so the per-feature
+// interned integer representation used by FeatureSet, whose hash order is
+// also the token order of the bcluster prefix index. Inlined (rather than hash/fnv) so the per-feature
 // cost is a tight loop with no allocation.
 func FeatureHash(f string) uint64 {
 	const (
@@ -23,8 +23,9 @@ func FeatureHash(f string) uint64 {
 // profile: the sorted, deduplicated set of 64-bit feature hashes. It is
 // the hot-path currency of the B-clustering — Jaccard similarity becomes
 // a linear merge over two sorted uint64 slices instead of a string-map
-// intersection, and MinHash signatures are derived from the precomputed
-// hashes instead of re-hashing every feature string.
+// intersection, and the prefix index posts each set under its first
+// (smallest) hashes without re-hashing any feature string. Hash order is
+// fixed, so a set's prefix is the same on every shard, restart and epoch.
 //
 // Two distinct features collide only when their FNV-64 hashes collide
 // (probability ~2⁻⁶⁴ per pair), in which case the set is one element

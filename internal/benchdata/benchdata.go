@@ -1,5 +1,5 @@
 // Package benchdata generates the family-structured behavioral corpora
-// shared by the LSH-vs-exact ablation (BenchmarkLSHvsExact) and the
+// shared by the Run-vs-exact ablation (BenchmarkRunVsExact) and the
 // cmd/benchjson trajectory emitter, so both measure the same workload.
 package benchdata
 
@@ -78,11 +78,13 @@ func ProfileOf(i, noise int) *behavior.Profile {
 	return p
 }
 
-// LSHSizes and ExactSizes are the benchmark trajectory: the exact
+// RunSizes and ExactSizes are the benchmark trajectory: the exact
 // baseline stops at 2000 because its O(n²) comparison already costs
-// ~100× the LSH run there, and 10k would dominate the smoke run.
+// ~100× the Run there, and 10k would dominate the smoke run. Run goes on
+// to 50k and 100k, the sizes at which a missed link once showed up as a
+// false singleton.
 var (
-	LSHSizes   = []int{500, 2000, 10000}
+	RunSizes   = []int{500, 2000, 10000, 50000, 100000}
 	ExactSizes = []int{500, 2000}
 )
 

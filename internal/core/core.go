@@ -34,12 +34,10 @@ type Scenario struct {
 	Enrichment enrich.Config
 	// Thresholds configure EPM invariant discovery.
 	Thresholds epm.Thresholds
-	// Parallelism bounds the worker pools of every pipeline stage (EPM
-	// invariant discovery and grouping, sandbox enrichment, MinHash
-	// signature construction, and B-cluster candidate verification);
-	// 0 selects GOMAXPROCS. Stage-level worker settings
-	// (Enrichment.Workers, Enrichment.BCluster.Workers), when nonzero,
-	// take precedence. Results are byte-identical at every level.
+	// Parallelism bounds the worker pools of the parallel pipeline stages
+	// (EPM invariant discovery and grouping, and sandbox enrichment); 0
+	// selects GOMAXPROCS. A nonzero Enrichment.Workers takes precedence.
+	// Results are byte-identical at every level.
 	Parallelism int
 }
 
@@ -91,9 +89,6 @@ func NewPipeline(s Scenario) (*malgen.Landscape, *enrich.Pipeline, error) {
 	enrichCfg := s.Enrichment
 	if enrichCfg.Workers == 0 {
 		enrichCfg.Workers = s.Parallelism
-	}
-	if enrichCfg.BCluster.Workers == 0 {
-		enrichCfg.BCluster.Workers = s.Parallelism
 	}
 
 	landscape, err := malgen.Generate(s.Landscape, rng.Child("landscape"))

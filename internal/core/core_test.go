@@ -55,7 +55,7 @@ func TestRunInvalidScenario(t *testing.T) {
 		t.Error("invalid deployment config must fail")
 	}
 	s = SmallScenario()
-	s.Enrichment.BCluster.NumHashes = 7 // not a multiple of bands
+	s.Enrichment.BCluster.Threshold = 1.5 // outside (0,1]
 	if _, err := Run(s); err == nil {
 		t.Error("invalid enrichment config must fail")
 	}

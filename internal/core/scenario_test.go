@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -61,6 +62,19 @@ func TestLoadScenarioRejects(t *testing.T) {
 	}
 }
 
+// TestLoadScenarioRejectsRemovedBClusterKeys pins that a scenario file
+// still setting a knob of the retired MinHash/LSH clusterer fails to load
+// with an error naming the key, instead of being silently ignored.
+func TestLoadScenarioRejectsRemovedBClusterKeys(t *testing.T) {
+	for _, key := range []string{"NumHashes", "Bands", "Seed", "Workers"} {
+		in := fmt.Sprintf(`{"Enrichment": {"BCluster": {"Threshold": 0.7, %q: 1}}}`, key)
+		_, err := LoadScenario(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("BCluster.%s: LoadScenario error %v, want one naming the key", key, err)
+		}
+	}
+}
+
 func TestLoadScenarioFile(t *testing.T) {
 	if _, err := LoadScenarioFile("/nonexistent/scenario.json"); err == nil {
 		t.Error("missing file must error")
@@ -82,7 +96,7 @@ func TestValidateScenario(t *testing.T) {
 		t.Error("invalid thresholds must fail")
 	}
 	bad = DefaultScenario()
-	bad.Enrichment.BCluster.Bands = 0
+	bad.Enrichment.BCluster.Threshold = 0
 	if err := ValidateScenario(bad); err == nil {
 		t.Error("invalid bcluster config must fail")
 	}

@@ -43,7 +43,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := DefaultConfig()
-	bad.BCluster.NumHashes = 0
+	bad.BCluster.Threshold = 0
 	if _, err := New(l, bad, rng); err == nil {
 		t.Error("invalid bcluster config must error")
 	}

@@ -1,7 +1,7 @@
 // Adversarial attacker families ("Poisoning Behavioral Malware
 // Clustering", Biggio, Rieck et al.). The attacker controls a set of
 // infected hosts and submits crafted samples through the ordinary event
-// stream, aiming to corrupt the Bayer-style LSH behavioral clustering:
+// stream, aiming to corrupt the Bayer-style behavioral clustering:
 //
 //   - A *bridge chain* interpolates the behavioral feature set of one
 //     victim bot family into another's, one feature swap per step. With

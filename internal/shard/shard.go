@@ -12,8 +12,8 @@
 // Merging is exact: epm.Merge folds the per-shard value sketches into
 // global invariants and regroups only where an aggregate-only threshold
 // crossing demands it, and bcluster.Merge seeds a union-find with the
-// per-shard components and re-probes only cross-shard LSH band
-// collisions over the cached signatures. The equivalence tests prove
+// per-shard components and probes each shard's posted samples against
+// the prefix indexes of the shards before it. The equivalence tests prove
 // the merged E/P/M/B views byte-identical to a 1-shard run at any shard
 // count and arrival order.
 package shard

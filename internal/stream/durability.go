@@ -819,6 +819,11 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 	if err := checkVersion(); err != nil {
 		return err
 	}
+	for name, l := range cp.Clients {
+		if l == nil {
+			return fmt.Errorf("stream: checkpoint client %q has a null ledger", name)
+		}
+	}
 	for i := range s.dims {
 		if err := s.dims[i].restore(cp.Dims[i], dimIns[i]); err != nil {
 			return err

@@ -197,3 +197,31 @@ func TestReplicaRefusesWritesAndGaps(t *testing.T) {
 		t.Fatal("RestoreSnapshot after applied records must error")
 	}
 }
+
+// TestRestoreSnapshotRejectsInvalidState feeds a replica checkpoints that
+// pass decoding but describe a state no service can be in. Each is
+// refused as corrupt, without a panic, and leaves the replica fresh for
+// the next bootstrap attempt.
+func TestRestoreSnapshotRejectsInvalidState(t *testing.T) {
+	for name, payload := range map[string]string{
+		"null client ledger": `{"version":1,"seq":0,"clients":{"x":null}}`,
+		"hold pair past the watermark": `{"version":1,"seq":0,"b":{"inputs":[` +
+			`{"id":"a","features":["f"]},{"id":"b","features":["g"],"status":1,"hold_pair":[999999,0]}` +
+			`],"integrated":2,"epochs":1}}`,
+		"unknown status": `{"version":1,"seq":0,"b":{"inputs":[{"id":"a","features":["f"],"status":9}],"integrated":1,"epochs":1}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			rep, err := stream.NewReplica(testConfig(8), fakeEnricher{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rep.Close)
+			if err := rep.RestoreSnapshot(strings.NewReader(payload)); !errors.Is(err, ckpt.ErrCorrupt) {
+				t.Fatalf("RestoreSnapshot error %v, want ckpt.ErrCorrupt", err)
+			}
+			if err := rep.RestoreSnapshot(strings.NewReader(`{"version":1,"seq":0}`)); err != nil {
+				t.Fatalf("replica not left fresh: %v", err)
+			}
+		})
+	}
+}

@@ -20,7 +20,7 @@
 //
 // New samples are labeled and sandbox-executed on first sight and parked
 // in the incremental B-clusterer (bcluster.Incremental), which probes
-// them against the LSH index at the next verification epoch. Because the
+// them against its prefix index at the next verification epoch. Because the
 // per-sample execution randomness derives from the sample hash and the
 // B partition is arrival-order independent, a replay of a batch dataset
 // converges on exactly the batch pipeline's clusters — byte-identical
