@@ -312,20 +312,11 @@ func run(o options) error {
 // offending file and exits non-zero. Quarantined *.corrupt files are
 // skipped — they are the evidence of an already-handled failure.
 func verifyWAL(root string) error {
-	dirs := []string{root}
-	if raw, err := os.ReadFile(filepath.Join(root, "shards.json")); err == nil {
-		var m struct {
-			Shards int `json:"shards"`
-		}
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return fmt.Errorf("corrupt shards.json: %w", err)
-		}
-		dirs = dirs[:0]
-		for i := 0; i < m.Shards; i++ {
-			dirs = append(dirs, filepath.Join(root, fmt.Sprintf("shard-%04d", i)))
-		}
+	layout, err := shard.ReadLayout(root)
+	if err != nil {
+		return err
 	}
-	for _, dir := range dirs {
+	for _, dir := range layout.Dirs(root) {
 		segments, records, err := wal.VerifyDir(dir)
 		var verr *wal.VerifyError
 		switch {
@@ -391,6 +382,15 @@ type backend interface {
 // and reports how many WAL records recovery replayed.
 func newBackend(cfg stream.Config, shards int, pipe *enrich.Pipeline) (backend, int, error) {
 	if shards <= 1 {
+		if dir := cfg.Durability.Dir; dir != "" {
+			layout, err := shard.ReadLayout(dir)
+			if err != nil {
+				return nil, 0, err
+			}
+			if layout.Shards != 0 {
+				return nil, 0, fmt.Errorf("%s holds a %d-shard layout; reopen it with -shards %d", dir, layout.Shards, layout.Shards)
+			}
+		}
 		svc, err := stream.New(cfg, pipe)
 		if err != nil {
 			return nil, 0, err

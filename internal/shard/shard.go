@@ -21,13 +21,17 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/ckpt"
 	"repro/internal/dataset"
 	"repro/internal/stream"
 )
@@ -153,10 +157,12 @@ func New(cfg Config, enricher stream.Enricher) (*Coordinator, error) {
 	}
 
 	root := scfg.Durability.Dir
+	var dirs []string
 	if root != "" {
 		if err := ensureManifest(root, n); err != nil {
 			return nil, err
 		}
+		dirs = Layout{Shards: n}.Dirs(root)
 	}
 	// The shared ledger replaces the per-shard limiters; everything else
 	// in the admission config stays per shard, with decorrelated shedder
@@ -168,7 +174,7 @@ func New(cfg Config, enricher stream.Enricher) (*Coordinator, error) {
 		sc := scfg
 		sc.Admission.Seed = scfg.Admission.Seed + uint64(i)
 		if root != "" {
-			sc.Durability.Dir = filepath.Join(root, shardDirName(i))
+			sc.Durability.Dir = dirs[i]
 		}
 		svc, err := stream.New(sc, enricher)
 		if err != nil {
@@ -181,8 +187,6 @@ func New(cfg Config, enricher stream.Enricher) (*Coordinator, error) {
 	}
 	return c, nil
 }
-
-func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 
 // NewReplicaSet wraps pre-built replica services in a read-only
 // coordinator serving the same merged views and stats as New — no
@@ -217,51 +221,118 @@ func (c *Coordinator) SetRole(role string) {
 	c.admMu.Unlock()
 }
 
-// ensureManifest creates or verifies the deployment root. A root that
-// already holds service state — a manifest with a different shard
-// count, or a pre-sharding single-service layout (checkpoint/WAL files
-// directly in the root) — fails closed with an actionable error.
+// Layout is what a durability root holds.
+type Layout struct {
+	// Shards is the manifest's shard count; 0 means the root has no
+	// manifest (a single-service layout, or a fresh root).
+	Shards int
+	// flatState names a single-service state file (the checkpoint or a
+	// WAL segment) found directly in a root without a manifest, or "".
+	flatState string
+}
+
+// ReadLayout reads a durability root's on-disk layout. It is the one
+// reader of that layout: the coordinator, the daemon's unsharded open
+// and its offline verifier all go through it. It refuses, fail-closed,
+// a manifest whose shard count is outside [1, MaxShards], shard
+// directories without a manifest, and single-service state next to a
+// manifest: each would otherwise open or verify an empty or misrouted
+// deployment without error. A missing root reads as a fresh one.
+func ReadLayout(root string) (Layout, error) {
+	entries, err := os.ReadDir(root)
+	if errors.Is(err, fs.ErrNotExist) {
+		return Layout{}, nil
+	}
+	if err != nil {
+		return Layout{}, fmt.Errorf("shard: reading root %s: %w", root, err)
+	}
+	var l Layout
+	var shardDir string
+	for _, e := range entries {
+		name := e.Name()
+		switch {
+		case e.IsDir() && strings.HasPrefix(name, "shard-"):
+			if shardDir == "" {
+				shardDir = name
+			}
+		case name == ckpt.Name || filepath.Ext(name) == ".wal":
+			if l.flatState == "" {
+				l.flatState = name
+			}
+		}
+	}
+	path := filepath.Join(root, manifestName)
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		if shardDir != "" {
+			return Layout{}, fmt.Errorf("shard: %s holds shard directories (%s) but no %s; refusing to guess the shard count (restore the manifest)",
+				root, shardDir, manifestName)
+		}
+		return l, nil
+	}
+	if err != nil {
+		return Layout{}, fmt.Errorf("shard: reading manifest %s: %w", path, err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return Layout{}, fmt.Errorf("shard: corrupt manifest %s: %w", path, err)
+	}
+	if m.Shards < 1 || m.Shards > MaxShards {
+		return Layout{}, fmt.Errorf("shard: manifest %s names %d shards, outside [1, %d]", path, m.Shards, MaxShards)
+	}
+	if l.flatState != "" {
+		return Layout{}, fmt.Errorf("shard: %s holds both a shard manifest and single-service state (%s); refusing to choose between them",
+			root, l.flatState)
+	}
+	l.Shards = m.Shards
+	return l, nil
+}
+
+// Dirs returns the directories holding the service state under root:
+// root itself for a single-service layout, the shard directories in
+// shard order otherwise.
+func (l Layout) Dirs(root string) []string {
+	if l.Shards == 0 {
+		return []string{root}
+	}
+	dirs := make([]string, l.Shards)
+	for i := range dirs {
+		dirs[i] = filepath.Join(root, fmt.Sprintf("shard-%04d", i))
+	}
+	return dirs
+}
+
+// ensureManifest creates or verifies the root of an n-shard deployment.
+// A root that already holds service state — a manifest with a different
+// shard count, or a pre-sharding single-service layout — fails closed
+// with an actionable error.
 func ensureManifest(root string, n int) error {
+	l, err := ReadLayout(root)
+	switch {
+	case err != nil:
+		return err
+	case l.Shards == n:
+		return nil
+	case l.Shards != 0:
+		return fmt.Errorf("shard: layout %s was written with -shards=%d; reopening with -shards=%d would misroute recovered samples (move the data aside or restore the original shard count)",
+			root, l.Shards, n)
+	case l.flatState != "":
+		return fmt.Errorf("shard: %s holds a pre-sharding service layout (%s) with no shard manifest; refusing to shard over it (move the data aside or replay it through a sharded deployment)",
+			root, l.flatState)
+	}
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return fmt.Errorf("shard: creating root %s: %w", root, err)
 	}
 	path := filepath.Join(root, manifestName)
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		var m manifest
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return fmt.Errorf("shard: corrupt manifest %s: %w", path, err)
-		}
-		if m.Shards != n {
-			return fmt.Errorf("shard: layout %s was written with -shards=%d; reopening with -shards=%d would misroute recovered samples (move the data aside or restore the original shard count)",
-				root, m.Shards, n)
-		}
-		return nil
-	case os.IsNotExist(err):
-		entries, derr := os.ReadDir(root)
-		if derr != nil {
-			return fmt.Errorf("shard: reading root %s: %w", root, derr)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if name == "checkpoint.json" || filepath.Ext(name) == ".wal" {
-				return fmt.Errorf("shard: %s holds a pre-sharding service layout (%s) with no shard manifest; refusing to shard over it (move the data aside or replay it through a sharded deployment)",
-					root, name)
-			}
-		}
-		tmp := path + ".tmp"
-		raw, _ = json.Marshal(manifest{Version: manifestVersion, Shards: n})
-		if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-			return fmt.Errorf("shard: writing manifest: %w", err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			return fmt.Errorf("shard: publishing manifest: %w", err)
-		}
-		return nil
-	default:
-		return fmt.Errorf("shard: reading manifest %s: %w", path, err)
+	tmp := path + ".tmp"
+	raw, _ := json.Marshal(manifest{Version: manifestVersion, Shards: n})
+	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
+		return fmt.Errorf("shard: writing manifest: %w", err)
 	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("shard: publishing manifest: %w", err)
+	}
+	return nil
 }
 
 // Shards reports the shard count.

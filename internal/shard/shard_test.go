@@ -191,6 +191,49 @@ func TestLayoutMismatchFailsClosed(t *testing.T) {
 	}
 }
 
+// TestNewRefusesAmbiguousLayouts covers the layouts a root can reach by
+// losing or gaining a file: shard directories whose manifest is gone
+// must not be overwritten by a fresh manifest at any shard count, and a
+// manifest next to single-service state must not pick one silently.
+func TestNewRefusesAmbiguousLayouts(t *testing.T) {
+	root := t.TempDir()
+	cfg := coordConfig(8, 3)
+	cfg.Stream.Durability = stream.Durability{Dir: root, NoSync: true}
+	c, err := shard.New(cfg, fakeEnricher{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, c, cleanCorpus(21), 7)
+	c.Close()
+
+	manifest := filepath.Join(root, "shards.json")
+	if err := os.Remove(manifest); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 3} {
+		cfg.Shards = n
+		if _, err := shard.New(cfg, fakeEnricher{}); err == nil || !strings.Contains(err.Error(), "no shards.json") {
+			t.Fatalf("shards=%d over shard directories without a manifest: err = %v, want refusal", n, err)
+		}
+		if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+			t.Fatalf("shards=%d wrote a manifest over the shard directories (stat err = %v)", n, err)
+		}
+	}
+
+	mixed := t.TempDir()
+	if err := os.WriteFile(filepath.Join(mixed, "shards.json"), []byte(`{"version":1,"shards":2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(mixed, "checkpoint.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Shards = 2
+	cfg.Stream.Durability.Dir = mixed
+	if _, err := shard.New(cfg, fakeEnricher{}); err == nil || !strings.Contains(err.Error(), "single-service state") {
+		t.Fatalf("manifest next to a flat checkpoint: err = %v, want refusal", err)
+	}
+}
+
 // normEPMView strips the per-shard telemetry whose split legitimately
 // depends on the shard count: epoch counters sum differently when the
 // same corpus is partitioned differently. The clusters themselves —
