@@ -3,8 +3,7 @@
 // verifier: the CRC trailer sealed onto every checkpoint, the streaming
 // Writer and Reader that produce and check it, the
 // `checkpoint.json.<gen>` retained-generation naming, and the
-// newest-valid-generation selection corrupt checkpoints fall back
-// through.
+// newest-valid-generation selection a replica bootstraps from.
 //
 // A checkpoint never passes through memory whole: the Writer encodes
 // into the file through one buffer, and the Reader hands a JSON decoder
@@ -198,13 +197,31 @@ func (r *Reader) classify(err error) error {
 // decoded before the CRC is known, so a caller must discard what decode
 // built when Decode fails.
 func Decode(r io.Reader, decode func(*json.Decoder) error) error {
+	return NewReader(r).decode(decode)
+}
+
+// DecodeSealed is Decode for a checkpoint that must carry its CRC
+// trailer. A replica's bootstrap body is one: it crossed a network, and
+// a connection cut where the trailer begins would leave a bare payload
+// that decodes without any CRC check.
+func DecodeSealed(r io.Reader, decode func(*json.Decoder) error) error {
 	cr := NewReader(r)
-	dec := json.NewDecoder(cr)
+	if err := cr.decode(decode); err != nil {
+		return err
+	}
+	if !cr.sealed {
+		return fmt.Errorf("%w: no crc trailer", ErrCorrupt)
+	}
+	return nil
+}
+
+func (r *Reader) decode(decode func(*json.Decoder) error) error {
+	dec := json.NewDecoder(r)
 	err := decode(dec)
 	if err == nil {
-		_, err = io.Copy(spaceOnly{}, io.MultiReader(dec.Buffered(), cr))
+		_, err = io.Copy(spaceOnly{}, io.MultiReader(dec.Buffered(), r))
 	}
-	return cr.classify(err)
+	return r.classify(err)
 }
 
 // spaceOnly accepts the JSON whitespace that may follow a payload's
@@ -253,12 +270,15 @@ func Verify(r io.Reader) error {
 // the replica manifest use, and it allocates its buffers, about 70 KB,
 // however large the checkpoint is.
 func ReadSeq(r io.Reader) (uint64, error) {
-	cr := NewReader(r)
-	seq, err := headerSeq(json.NewDecoder(cr))
+	return NewReader(r).readSeq()
+}
+
+func (r *Reader) readSeq() (uint64, error) {
+	seq, err := headerSeq(json.NewDecoder(r))
 	if err == nil {
-		_, err = io.Copy(io.Discard, cr)
+		_, err = io.Copy(io.Discard, r)
 	}
-	return seq, cr.classify(err)
+	return seq, r.classify(err)
 }
 
 func headerSeq(dec *json.Decoder) (uint64, error) {
@@ -337,73 +357,66 @@ func candidates(fs faultfs.FS, dir string) ([]string, error) {
 	return paths, nil
 }
 
-// LoadNewestValid reads the payload of the newest checkpoint whose CRC
-// verifies and whose payload is well-formed JSON, and the path it came
-// from; os.ErrNotExist when no checkpoint exists at all. Invalid
-// candidates are skipped, not modified — quarantine is the recovering
-// service's decision, not the reader's.
-func LoadNewestValid(fs faultfs.FS, dir string) (payload []byte, path string, err error) {
-	path, err = newest(fs, dir, func(f faultfs.File) error {
-		var buf bytes.Buffer
-		if st, err := f.Stat(); err == nil {
-			buf.Grow(int(st.Size()) + bytes.MinRead)
-		}
-		if _, err := buf.ReadFrom(NewReader(f)); err != nil {
-			return err
-		}
-		if !json.Valid(buf.Bytes()) {
-			return fmt.Errorf("%w: payload is not valid JSON", ErrCorrupt)
-		}
-		payload = buf.Bytes()
-		return nil
-	})
-	return payload, path, err
-}
-
-// NewestSeq is ReadSeq of the newest checkpoint whose header reads and
-// whose CRC verifies, with LoadNewestValid's fallback and errors.
-func NewestSeq(fs faultfs.FS, dir string) (seq uint64, err error) {
-	_, err = newest(fs, dir, func(f faultfs.File) error {
-		seq, err = ReadSeq(f)
-		return err
-	})
-	return seq, err
-}
-
-// newest tries the candidates in order and returns the first that read
-// accepts. It may run beside a checkpointing service, which renames the
-// live checkpoint aside before it renames the next one in and prunes
+// OpenNewest opens the checkpoint a replica bootstraps from: the newest
+// in dir that carries a CRC trailer and whose CRC verifies. It returns
+// the file rewound to its first byte, to be shipped as it is so the
+// follower checks the same CRC as it decodes, and the seq it covers. A
+// corrupt or unsealed live checkpoint falls back to the newest retained
+// generation that passes; os.ErrNotExist reports that dir holds no
+// checkpoint at all. Invalid candidates are skipped, not modified —
+// quarantine is the recovering service's decision, not the reader's.
+//
+// It may run beside a checkpointing service, which renames the live
+// checkpoint aside before it renames the next one in and prunes
 // generations after: a walk that finds every candidate gone raced it,
 // and the directory then lists other generations, so it walks again.
-func newest(fs faultfs.FS, dir string, read func(faultfs.File) error) (string, error) {
-	fs = faultfs.OrOS(fs)
-	paths, err := candidates(fs, dir)
+func OpenNewest(dir string) (*os.File, uint64, error) {
+	paths, err := candidates(nil, dir)
 	for err == nil {
 		var firstErr error
 		for _, p := range paths {
-			f, err := fs.Open(p)
+			f, seq, err := openSealed(p)
 			if errors.Is(err, os.ErrNotExist) {
 				continue
 			}
 			if err == nil {
-				err = read(f)
-				f.Close()
-				if err == nil {
-					return p, nil
-				}
+				return f, seq, nil
 			}
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", p, err)
 			}
 		}
 		if firstErr != nil {
-			return "", fmt.Errorf("ckpt: no valid checkpoint in %s: %w", dir, firstErr)
+			return nil, 0, fmt.Errorf("ckpt: no valid checkpoint in %s: %w", dir, firstErr)
 		}
 		var again []string
-		if again, err = candidates(fs, dir); err == nil && slices.Equal(again, paths) {
-			return "", os.ErrNotExist
+		if again, err = candidates(nil, dir); err == nil && slices.Equal(again, paths) {
+			return nil, 0, os.ErrNotExist
 		}
 		paths = again
 	}
-	return "", err
+	return nil, 0, err
+}
+
+// openSealed opens path, reads its seq as ReadSeq does, requires a CRC
+// trailer, and rewinds the file. The open handle keeps the verified
+// bytes even if the service renames or prunes the path meanwhile.
+func openSealed(path string) (*os.File, uint64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	cr := NewReader(f)
+	seq, err := cr.readSeq()
+	if err == nil && !cr.sealed {
+		err = fmt.Errorf("%w: no crc trailer", ErrCorrupt)
+	}
+	if err == nil {
+		_, err = f.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, seq, nil
 }

@@ -173,10 +173,11 @@ func TestReadSeq(t *testing.T) {
 }
 
 // TestNewestFallback walks the generation chain past a corrupt live
-// checkpoint, and reports a missing chain as os.ErrNotExist.
+// checkpoint and past an unsealed one, and reports a missing chain as
+// os.ErrNotExist.
 func TestNewestFallback(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := NewestSeq(nil, dir); !errors.Is(err, os.ErrNotExist) {
+	if _, _, err := OpenNewest(dir); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("empty dir: %v, want ErrNotExist", err)
 	}
 	older := seal([]byte(`{"version":1,"seq":7}`))
@@ -185,20 +186,27 @@ func TestNewestFallback(t *testing.T) {
 	if err := os.WriteFile(GenName(dir, 3), older, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	for name, live := range map[string][]byte{"corrupt": bad, "unsealed": []byte(`{"version":1,"seq":9}`)} {
+		if err := os.WriteFile(filepath.Join(dir, Name), live, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, seq, err := OpenNewest(dir)
+		if err != nil || seq != 7 || f.Name() != GenName(dir, 3) {
+			t.Fatalf("%s live checkpoint: OpenNewest = %v, %d, %v; want the generation's 7", name, f, seq, err)
+		}
+		shipped, err := io.ReadAll(f)
+		f.Close()
+		if err != nil || !bytes.Equal(shipped, older) {
+			t.Fatalf("%s live checkpoint: shipped %q, %v; want the sealed generation from its first byte", name, shipped, err)
+		}
+	}
 	if err := os.WriteFile(filepath.Join(dir, Name), bad, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if seq, err := NewestSeq(nil, dir); err != nil || seq != 7 {
-		t.Fatalf("NewestSeq = %d, %v; want the generation's 7", seq, err)
-	}
-	payload, path, err := LoadNewestValid(nil, dir)
-	if err != nil || path != GenName(dir, 3) || string(payload) != `{"version":1,"seq":7}` {
-		t.Fatalf("LoadNewestValid = %q from %s, %v", payload, path, err)
 	}
 	if err := os.Remove(GenName(dir, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewestSeq(nil, dir); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := OpenNewest(dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("only a corrupt checkpoint: %v, want ErrCorrupt", err)
 	}
 }

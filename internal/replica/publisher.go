@@ -36,7 +36,7 @@ type Source struct {
 // Publisher serves the log-shipping endpoints for a primary:
 //
 //	GET /v1/repl/segments                    — Manifest (all shards)
-//	GET /v1/repl/checkpoint/{shard}          — newest checkpoint blob
+//	GET /v1/repl/checkpoint/{shard}          — newest sealed checkpoint file
 //	GET /v1/repl/segment/{shard}/{first}?from=N — frame stream
 type Publisher struct {
 	sources []Source
@@ -108,38 +108,39 @@ func (p *Publisher) Manifest() (Manifest, error) {
 // WAL.
 var ErrNoCheckpoint = errors.New("replica: no checkpoint")
 
-// Checkpoint returns the shard's newest valid checkpoint payload: the
-// live file when its CRC and JSON verify, else the newest retained
+// Checkpoint opens the shard's newest sealed checkpoint whose CRC
+// verifies: the live file when it passes, else the newest retained
 // generation that does — a primary with a corrupt live checkpoint keeps
 // bootstrapping followers (they just replay a longer WAL suffix). The
-// CRC trailer is verified here and stripped: followers receive the bare
-// JSON payload.
-func (p *Publisher) Checkpoint(shard int) ([]byte, error) {
+// file is shipped as it lies on disk, trailer included, so the follower
+// checks the same CRC as it decodes; the caller streams and closes it.
+func (p *Publisher) Checkpoint(shard int) (*os.File, error) {
 	if shard < 0 || shard >= len(p.sources) {
 		return nil, fmt.Errorf("replica: shard %d outside [0,%d)", shard, len(p.sources))
 	}
-	blob, _, err := ckpt.LoadNewestValid(nil, p.sources[shard].Dir)
+	f, _, err := ckpt.OpenNewest(p.sources[shard].Dir)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, ErrNoCheckpoint
 	}
 	if err != nil {
 		return nil, fmt.Errorf("replica: shard %d checkpoint: %w", shard, err)
 	}
-	return blob, nil
+	return f, nil
 }
 
 // checkpointSeq is the coverage of the checkpoint Checkpoint would
-// ship: the newest whose CRC verifies, found without loading it. Every
-// follower poll asks, so the probe reads the seq from the header and
-// lets the CRC check the rest as it streams past.
+// ship. Every follower poll asks, so the probe reads the seq from the
+// header and lets the CRC check the rest as it streams past, without
+// loading the file.
 func (p *Publisher) checkpointSeq(shard int) (uint64, error) {
-	seq, err := ckpt.NewestSeq(nil, p.sources[shard].Dir)
+	f, seq, err := ckpt.OpenNewest(p.sources[shard].Dir)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, fmt.Errorf("replica: shard %d checkpoint: %w", shard, err)
 	}
+	f.Close()
 	return seq, nil
 }
 
@@ -172,7 +173,7 @@ func (p *Publisher) serveCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown shard", http.StatusNotFound)
 		return
 	}
-	blob, err := p.Checkpoint(shard)
+	f, err := p.Checkpoint(shard)
 	if errors.Is(err, ErrNoCheckpoint) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -181,8 +182,14 @@ func (p *Publisher) serveCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(blob)
+	defer f.Close()
+	// The length lets the follower's client report a body cut short; a
+	// read error mid-stream aborts the connection.
+	if st, err := f.Stat(); err == nil {
+		w.Header().Set("Content-Length", strconv.FormatInt(st.Size(), 10))
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	io.Copy(w, f)
 }
 
 // serveSegment streams the segment's frames, re-encoded and therefore

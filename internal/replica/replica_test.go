@@ -1,10 +1,14 @@
 package replica_test
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -431,15 +435,10 @@ func TestManifestAtomicity(t *testing.T) {
 	}
 }
 
-// TestManifestAllocations: every follower poll asks for the manifest,
-// and the manifest reads each checkpoint's seq from its header and lets
-// the CRC check the rest as it streams past, so a poll allocates a
-// small fraction of the checkpoint however large it is. Not parallel:
-// the measure is the process's allocation counter.
-func TestManifestAllocations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a multi-MiB checkpoint")
-	}
+// bigCheckpoint builds a one-shard durable primary holding a multi-MiB
+// checkpoint and returns it with the checkpoint file's info.
+func bigCheckpoint(t *testing.T) (*primary, os.FileInfo) {
+	t.Helper()
 	ctx := context.Background()
 	dir := t.TempDir()
 	scfg := testConfig(0)
@@ -464,6 +463,19 @@ func TestManifestAllocations(t *testing.T) {
 	if fi.Size() < 4<<20 {
 		t.Fatalf("checkpoint is only %d bytes; the guard needs a multi-MiB one", fi.Size())
 	}
+	return p, fi
+}
+
+// TestManifestAllocations: every follower poll asks for the manifest,
+// and the manifest reads each checkpoint's seq from its header and lets
+// the CRC check the rest as it streams past, so a poll allocates a
+// small fraction of the checkpoint however large it is. Not parallel:
+// the measure is the process's allocation counter.
+func TestManifestAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a multi-MiB checkpoint")
+	}
+	p, fi := bigCheckpoint(t)
 	want := p.svc.Stats().WAL.LastCheckpointSeq
 	const polls = 5
 	runtime.GC()
@@ -483,6 +495,129 @@ func TestManifestAllocations(t *testing.T) {
 	t.Logf("a manifest poll over a %d-byte checkpoint allocated %d bytes", fi.Size(), per)
 	if per*10 >= uint64(fi.Size()) {
 		t.Fatalf("a manifest poll allocated %d bytes for a %d-byte checkpoint, want < a tenth", per, fi.Size())
+	}
+}
+
+// TestCheckpointFetchAllocations: a bootstrap fetch streams the sealed
+// checkpoint file from disk, trailer included, instead of loading it, so
+// it allocates a small fraction of the checkpoint however large it is.
+// Not parallel: the measure is the process's allocation counter.
+func TestCheckpointFetchAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a multi-MiB checkpoint")
+	}
+	p, fi := bigCheckpoint(t)
+	h := p.pub.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/repl/checkpoint/0", nil)
+	w := &hashingResponse{h: sha256.New()}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(w, req)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a checkpoint fetch of a %d-byte checkpoint allocated %d bytes", fi.Size(), alloc)
+
+	dir, _ := p.svc.ReplicationSource()
+	disk, err := os.ReadFile(filepath.Join(dir, fi.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(disk); w.status != 0 || w.n != fi.Size() || !bytes.Equal(w.h.Sum(nil), sum[:]) {
+		t.Fatalf("fetch answered %d with %d bytes; want the %d-byte sealed file as it lies on disk", w.status, w.n, fi.Size())
+	}
+	if alloc*10 >= uint64(fi.Size()) {
+		t.Fatalf("a checkpoint fetch allocated %d bytes for a %d-byte checkpoint, want < a tenth", alloc, fi.Size())
+	}
+}
+
+// hashingResponse is an http.ResponseWriter that hashes the body instead
+// of keeping it.
+type hashingResponse struct {
+	header http.Header
+	status int // 0 until WriteHeader: an implicit 200
+	n      int64
+	h      hash.Hash
+}
+
+func (w *hashingResponse) Header() http.Header {
+	if w.header == nil {
+		w.header = http.Header{}
+	}
+	return w.header
+}
+
+func (w *hashingResponse) WriteHeader(code int) { w.status = code }
+
+func (w *hashingResponse) Write(b []byte) (int, error) {
+	w.n += int64(len(b))
+	return w.h.Write(b)
+}
+
+// TestFollowerFallsBackPastCorruptCheckpoint corrupts the primary's live
+// checkpoint on disk: the publisher must ship the newest retained
+// generation instead, and a follower bootstrapped from it must converge
+// on the primary's views.
+func TestFollowerFallsBackPastCorruptCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	scfg := testConfig(8)
+	scfg.Durability = stream.Durability{Dir: dir, NoSync: true, SegmentBytes: 1 << 10}
+	p := newPrimary(t, 1, scfg)
+	events := dirtyCorpus(150)
+	for i, part := range [][]dataset.Event{events[:60], events[60:100], events[100:]} {
+		if err := p.ingest(ctx, part); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			if err := p.checkpoint(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := p.flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	live := filepath.Join(dir, "checkpoint.json")
+	blob, err := os.ReadFile(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)/2] ^= 1
+	if err := os.WriteFile(live, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, err := p.pub.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, newest := man.PerShard[0].CheckpointSeq, p.svc.Stats().WAL.LastCheckpointSeq; got == 0 || got >= newest {
+		t.Fatalf("manifest advertises checkpoint seq %d; want the older generation's, below the corrupt live %d", got, newest)
+	}
+
+	f := newFollower(t, p, 10*time.Millisecond)
+	if err := f.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, dim := range []string{"epsilon", "pi", "mu"} {
+		fv, err := f.EPMClusters(dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pv, err := p.epm(dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, _ := json.Marshal(fv)
+		pb, _ := json.Marshal(pv)
+		if string(fb) != string(pb) {
+			t.Fatalf("%s view diverges:\nfollower %s\nprimary  %s", dim, fb, pb)
+		}
+	}
+	fb, _ := json.Marshal(f.BClusters())
+	pb, _ := json.Marshal(p.b())
+	if string(fb) != string(pb) {
+		t.Fatalf("b view diverges:\nfollower %s\nprimary  %s", fb, pb)
 	}
 }
 

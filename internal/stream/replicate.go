@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/admission"
 	"repro/internal/ckpt"
@@ -71,9 +70,10 @@ func NewReplica(cfg Config, enricher Enricher) (*Service, error) {
 
 // RestoreSnapshot streams a primary checkpoint from r into a fresh
 // replica — the bootstrap half of catch-up — through the same restore
-// local recovery runs. r may carry the bare payload the publisher ships
-// or a file straight off a primary's disk with its CRC trailer. A
-// snapshot that fails to verify or decode leaves the replica fresh. The
+// local recovery runs. r carries the sealed checkpoint file the
+// publisher ships as it lies on the primary's disk; a body without its
+// CRC trailer is refused as corrupt. A snapshot that fails to verify or
+// decode leaves the replica fresh. The
 // WAL suffix past the checkpoint's seq then arrives through
 // ApplyReplicated.
 func (s *Service) RestoreSnapshot(r io.Reader) error {
@@ -85,7 +85,7 @@ func (s *Service) RestoreSnapshot(r io.Reader) error {
 	if s.applySeq != 0 || s.version != 0 {
 		return fmt.Errorf("stream: RestoreSnapshot on a non-fresh replica (applied seq %d)", s.applySeq)
 	}
-	if err := ckpt.Decode(r, s.restoreCheckpoint); err != nil {
+	if err := ckpt.DecodeSealed(r, s.restoreCheckpoint); err != nil {
 		if rerr := s.resetState(); rerr != nil {
 			return rerr
 		}
@@ -155,9 +155,4 @@ func (s *Service) ReplicationSource() (dir string, log *wal.Log) {
 		return "", nil
 	}
 	return s.cfg.Durability.Dir, s.wal
-}
-
-// Uptime reports time since construction (surfaced as uptime_ms).
-func (s *Service) Uptime() time.Duration {
-	return time.Since(s.start)
 }

@@ -216,12 +216,57 @@ func TestRestoreSnapshotRejectsInvalidState(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(rep.Close)
-			if err := rep.RestoreSnapshot(strings.NewReader(payload)); !errors.Is(err, ckpt.ErrCorrupt) {
+			if err := rep.RestoreSnapshot(sealed(payload)); !errors.Is(err, ckpt.ErrCorrupt) {
 				t.Fatalf("RestoreSnapshot error %v, want ckpt.ErrCorrupt", err)
 			}
-			if err := rep.RestoreSnapshot(strings.NewReader(`{"version":1,"seq":0}`)); err != nil {
+			if err := rep.RestoreSnapshot(sealed(`{"version":1,"seq":0}`)); err != nil {
 				t.Fatalf("replica not left fresh: %v", err)
 			}
 		})
+	}
+}
+
+// sealed returns payload with the checkpoint CRC trailer a primary
+// ships it with.
+func sealed(payload string) io.Reader {
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	w.Write([]byte(payload))
+	w.Seal()
+	return &buf
+}
+
+// TestRestoreSnapshotRefusesCutBody: a bootstrap body cut where its CRC
+// trailer begins is still valid JSON. The replica must refuse it as
+// corrupt and stay fresh, not restore a payload no CRC has checked.
+func TestRestoreSnapshotRefusesCutBody(t *testing.T) {
+	ctx := context.Background()
+	cfg := testConfig(8)
+	cfg.Durability = stream.Durability{Dir: t.TempDir(), NoSync: true}
+	primary := newTestService(t, cfg)
+	if err := primary.Ingest(ctx, dirtyCorpus(40)); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join(cfg.Durability.Dir, ckpt.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.LastIndex(blob, []byte("\n#checkpoint-crc32 "))
+	if cut < 0 {
+		t.Fatal("checkpoint has no CRC trailer")
+	}
+	rep, err := stream.NewReplica(testConfig(8), fakeEnricher{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rep.Close)
+	if err := rep.RestoreSnapshot(bytes.NewReader(blob[:cut])); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("body cut before its trailer: %v, want ckpt.ErrCorrupt", err)
+	}
+	if err := rep.RestoreSnapshot(bytes.NewReader(blob)); err != nil {
+		t.Fatalf("replica not left fresh, or the whole body refused: %v", err)
 	}
 }
