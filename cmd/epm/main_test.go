@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -110,22 +111,24 @@ func TestRunWritesClusterings(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	clusterings, err := epm.ReadAllJSON(f)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Three clusterings, in epsilon/pi/mu order.
-	dims := []string{"epsilon", "pi", "mu"}
-	if len(clusterings) != len(dims) {
-		t.Fatalf("clusterings = %d, want %d", len(clusterings), len(dims))
-	}
-	for i, want := range dims {
-		c := clusterings[i]
+	dec := json.NewDecoder(f)
+	for _, want := range []string{"epsilon", "pi", "mu"} {
+		var c struct {
+			Schema   epm.Schema        `json:"schema"`
+			Clusters []json.RawMessage `json:"clusters"`
+		}
+		if err := dec.Decode(&c); err != nil {
+			t.Fatalf("%s clustering: %v", want, err)
+		}
 		if c.Schema.Dimension != want {
 			t.Fatalf("dimension = %q, want %q", c.Schema.Dimension, want)
 		}
 		if len(c.Clusters) == 0 {
 			t.Fatalf("%s clustering empty", want)
 		}
+	}
+	if dec.More() {
+		t.Fatal("more than three clusterings written")
 	}
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-seed N] [-small] [-parallelism N] [-run all|counts|diag|table1|figure3|figure4|mcluster13|figure5|table2|validity|avlabels|temporal|population|coverage|distributed]
+//	experiments [-seed N] [-small] [-scenario file.json] [-parallelism N] [-run all|counts|diag|table1|figure3|figure4|mcluster13|figure5|table2|validity|avlabels|temporal|population|coverage|distributed]
 package main
 
 import (
@@ -45,28 +45,36 @@ func validSelector(sel string) bool {
 func main() {
 	seed := flag.Uint64("seed", 2010, "scenario seed")
 	small := flag.Bool("small", false, "use the reduced scenario (fast, not paper-scale)")
+	scenarioPath := flag.String("scenario", "", "scenario JSON file (overrides -small)")
 	parallelism := flag.Int("parallelism", 0, "worker bound for every pipeline stage (0 = GOMAXPROCS)")
 	runSel := flag.String("run", "all", "experiment to run: "+strings.Join(selectors, "|"))
 	flag.Parse()
 
-	if err := run(*seed, *small, *runSel, *parallelism); err != nil {
+	if err := run(*seed, *small, *scenarioPath, *runSel, *parallelism); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(seed uint64, small bool, sel string, parallelism int) error {
+func run(seed uint64, small bool, scenarioPath, sel string, parallelism int) error {
 	if !validSelector(sel) {
 		return fmt.Errorf("unknown -run selector %q; valid selectors: %s", sel, strings.Join(selectors, "|"))
 	}
-	scenario := core.DefaultScenario()
+	scenario, name := core.DefaultScenario(), "default"
 	if small {
-		scenario = core.SmallScenario()
+		scenario, name = core.SmallScenario(), "small"
+	}
+	if scenarioPath != "" {
+		loaded, err := core.LoadScenarioFile(scenarioPath)
+		if err != nil {
+			return err
+		}
+		scenario, name = loaded, scenarioPath
 	}
 	scenario.Seed = seed
 	scenario.Parallelism = parallelism
 
-	fmt.Printf("# Experiments (seed=%d, scenario=%s)\n\n", seed, scenarioName(small))
+	fmt.Printf("# Experiments (seed=%d, scenario=%s)\n\n", seed, name)
 	res, err := core.Run(scenario)
 	if err != nil {
 		return err
@@ -435,13 +443,6 @@ func diag(res *core.Results) {
 		fmt.Printf("%-10s %8d %8d %8d %8d %8d %8d\n",
 			c, events[c], samples[c], exec[c], singles[c], len(multiB[c]), len(mByClass[c]))
 	}
-}
-
-func scenarioName(small bool) string {
-	if small {
-		return "small"
-	}
-	return "default"
 }
 
 func counts(res *core.Results) error {

@@ -70,12 +70,3 @@ func ExplainSplit(mClu *epm.Clustering, mIdxs []int) ([]FeatureSplit, error) {
 	})
 	return out, nil
 }
-
-// DominantDifferentiator returns the feature splitting the clusters the
-// most, or "" when nothing differentiates (identical patterns).
-func DominantDifferentiator(splits []FeatureSplit) string {
-	if len(splits) == 0 || !splits[0].Differentiates() {
-		return ""
-	}
-	return splits[0].Feature
-}

@@ -27,9 +27,8 @@ func TestExplainSplitWormClusters(t *testing.T) {
 	}
 	// The dominant differentiator for the worm lineage must be the file
 	// size (the paper's observation); linker version may contribute.
-	dom := DominantDifferentiator(splits)
-	if dom != "File size in bytes" {
-		t.Errorf("dominant differentiator = %q, want file size (splits[0]=%+v)", dom, splits[0])
+	if !splits[0].Differentiates() || splits[0].Feature != "File size in bytes" {
+		t.Errorf("dominant differentiator = %+v, want file size", splits[0])
 	}
 	// Sorted by distinct values.
 	for i := 1; i < len(splits); i++ {
@@ -55,15 +54,5 @@ func TestExplainSplitErrors(t *testing.T) {
 	}
 	if _, err := ExplainSplit(s.mClu, []int{0, 1 << 20}); err == nil {
 		t.Error("out-of-range cluster must error")
-	}
-}
-
-func TestDominantDifferentiatorEmpty(t *testing.T) {
-	if got := DominantDifferentiator(nil); got != "" {
-		t.Errorf("empty splits = %q", got)
-	}
-	same := []FeatureSplit{{Feature: "x", DistinctValues: 1}}
-	if got := DominantDifferentiator(same); got != "" {
-		t.Errorf("non-differentiating = %q", got)
 	}
 }

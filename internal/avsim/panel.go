@@ -69,15 +69,6 @@ func DefaultPanel() *Panel {
 	}}
 }
 
-// Vendors returns the vendor names in panel order.
-func (p *Panel) Vendors() []string {
-	out := make([]string, len(p.vendors))
-	for i, v := range p.vendors {
-		out[i] = v.Name
-	}
-	return out
-}
-
 // Labels returns every vendor's label for a sample. familyAVName is the
 // canonical base name the landscape assigns (vendor styles re-render it);
 // md5 identifies the sample. Absent detections map to "".

@@ -63,9 +63,9 @@ func TestPanelVendorsDisagreeOnNames(t *testing.T) {
 
 func TestPanelVendorsList(t *testing.T) {
 	p := DefaultPanel()
-	vendors := p.Vendors()
+	vendors := SortedVendors(p.Labels("Allaple", "md5"))
 	if len(vendors) != 3 || vendors[0] != "vendor-a" {
-		t.Errorf("Vendors = %v", vendors)
+		t.Errorf("vendors = %v", vendors)
 	}
 }
 

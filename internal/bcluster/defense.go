@@ -175,11 +175,6 @@ func (inc *Incremental) SampleStatus(id string) (Status, bool) {
 	return inc.def.status[idx], true
 }
 
-// excluded reports whether integrated sample i is outside link formation.
-func (inc *Incremental) excluded(i int) bool {
-	return inc.def != nil && i < len(inc.def.status) && inc.def.status[i] != StatusClustered
-}
-
 // growDefense sizes the per-sample defense state to the input log.
 func (inc *Incremental) growDefense() {
 	d := inc.def

@@ -33,17 +33,6 @@ func FeatureHash(f string) uint64 {
 // Jaccard make this trade explicit.
 type FeatureSet []uint64
 
-// NewFeatureSet interns the given features. The result is sorted and
-// deduplicated.
-func NewFeatureSet(features []string) FeatureSet {
-	fs := make(FeatureSet, 0, len(features))
-	for _, f := range features {
-		fs = append(fs, FeatureHash(f))
-	}
-	fs.normalize()
-	return fs
-}
-
 // normalize sorts the set and drops duplicate hashes in place.
 func (fs *FeatureSet) normalize() {
 	s := *fs

@@ -19,8 +19,16 @@ func TestFeatureHashMatchesFNV(t *testing.T) {
 	}
 }
 
+func profileOf(features ...string) *Profile {
+	p := NewProfile()
+	for _, f := range features {
+		p.Add(f)
+	}
+	return p
+}
+
 func TestFeatureSetSortedDeduped(t *testing.T) {
-	fs := NewFeatureSet([]string{"b", "a", "c", "a", "b"})
+	fs := profileOf("b", "a", "c", "a", "b").FeatureSet()
 	if len(fs) != 3 {
 		t.Fatalf("len = %d, want 3 (deduplicated)", len(fs))
 	}
@@ -31,36 +39,13 @@ func TestFeatureSetSortedDeduped(t *testing.T) {
 	}
 }
 
-func TestProfileFeatureSetMatchesNewFeatureSet(t *testing.T) {
-	p := NewProfile()
-	for _, f := range []string{"x", "y", "z"} {
-		p.Add(f)
-	}
-	a, b := p.FeatureSet(), NewFeatureSet(p.Features())
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("element %d differs", i)
-		}
-	}
-}
-
 // TestFeatureSetJaccardMatchesProfile is the differential property test
 // behind the bcluster hot-path swap: the merge-based Jaccard over
 // interned hash sets must agree with the map-based Profile.Jaccard on
 // random profiles, including the empty/disjoint/identical corners.
 func TestFeatureSetJaccardMatchesProfile(t *testing.T) {
-	mk := func(fs []string) *Profile {
-		p := NewProfile()
-		for _, f := range fs {
-			p.Add(f)
-		}
-		return p
-	}
 	diff := func(as, bs []string) bool {
-		a, b := mk(as), mk(bs)
+		a, b := profileOf(as...), profileOf(bs...)
 		return math.Abs(a.Jaccard(b)-a.FeatureSet().Jaccard(b.FeatureSet())) < 1e-12
 	}
 	if err := quick.Check(diff, nil); err != nil {
@@ -100,7 +85,7 @@ func TestFeatureSetJaccardMatchesProfile(t *testing.T) {
 		{[]string{"x", "y"}, []string{"x", "y"}, 1},
 	}
 	for _, c := range cases {
-		got := NewFeatureSet(c.a).Jaccard(NewFeatureSet(c.b))
+		got := profileOf(c.a...).FeatureSet().Jaccard(profileOf(c.b...).FeatureSet())
 		if math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("Jaccard(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 		}

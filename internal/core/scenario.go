@@ -7,16 +7,6 @@ import (
 	"os"
 )
 
-// SaveScenario writes a scenario as indented JSON.
-func SaveScenario(w io.Writer, s Scenario) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		return fmt.Errorf("core: encoding scenario: %w", err)
-	}
-	return nil
-}
-
 // LoadScenario reads a scenario from JSON, applying defaults for absent
 // sections so a file may override only the knobs it cares about.
 func LoadScenario(r io.Reader) (Scenario, error) {

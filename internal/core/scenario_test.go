@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -13,7 +14,7 @@ func TestScenarioRoundTrip(t *testing.T) {
 	s.Seed = 12345
 	s.Landscape.WormVariants = 7
 	var buf bytes.Buffer
-	if err := SaveScenario(&buf, s); err != nil {
+	if err := json.NewEncoder(&buf).Encode(s); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadScenario(&buf)
@@ -110,7 +111,7 @@ func TestSaveScenarioToFileAndLoad(t *testing.T) {
 	}
 	s := SmallScenario()
 	s.Seed = 321
-	if err := SaveScenario(f, s); err != nil {
+	if err := json.NewEncoder(f).Encode(s); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -58,28 +58,6 @@ func (q Query) Matches(e Event) bool {
 	return true
 }
 
-// Select returns the events matching the query, in stream order.
-func (d *Dataset) Select(q Query) []Event {
-	var out []Event
-	d.EachEvent(func(e *Event) {
-		if q.Matches(*e) {
-			out = append(out, *e)
-		}
-	})
-	return out
-}
-
-// CountBy buckets the matching events by an arbitrary key function.
-func (d *Dataset) CountBy(q Query, key func(Event) string) map[string]int {
-	out := make(map[string]int)
-	d.EachEvent(func(e *Event) {
-		if q.Matches(*e) {
-			out[key(*e)]++
-		}
-	})
-	return out
-}
-
 // Attackers returns the distinct attacker addresses among matching events.
 func (d *Dataset) Attackers(q Query) []string {
 	seen := make(map[string]bool)

@@ -1,16 +1,9 @@
-// Transfer: the π pipeline end to end. Encode a shellcode carrying
-// download instructions, recover them with the Nepenthes-style analyzer,
-// perform the emulated protocol transfer (with a deliberately induced
-// truncation on the second run), and extract the static features of
-// whatever the honeypot stored — showing where the corpus's corrupted
-// samples come from.
-//
-//	go run ./examples/transfer
-package main
+package download_test
 
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/download"
 	"repro/internal/netmodel"
@@ -19,7 +12,13 @@ import (
 	"repro/internal/simrng"
 )
 
-func main() {
+// Example runs the π pipeline end to end. It encodes a shellcode carrying
+// download instructions, recovers them with the Nepenthes-style analyzer,
+// performs the emulated protocol transfer (with a deliberately induced
+// truncation on the second run), and extracts the static features of
+// whatever the honeypot stored, showing where the corpus's corrupted
+// samples come from.
+func Example() {
 	rng := simrng.New(7)
 	r := rng.Stream("example")
 
@@ -55,7 +54,16 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("== %s (%s) ==\n", title, transcript.Outcome)
+		blocks, data := 0, 0 // a run of data blocks prints as one line
 		for _, m := range transcript.Messages {
+			if strings.HasPrefix(m.Note, "DATA block") {
+				blocks, data = blocks+1, data+len(m.Data)
+				continue
+			}
+			if blocks > 0 {
+				fmt.Printf("  <- %-22s %d bytes\n", fmt.Sprintf("%d DATA blocks", blocks), data)
+				blocks, data = 0, 0
+			}
 			arrow := "->"
 			if m.Dir == download.Received {
 				arrow = "<-"
@@ -67,6 +75,42 @@ func main() {
 	}
 	run("clean transfer", shellcode.FailureModel{})
 	run("truncated transfer", shellcode.FailureModel{TruncateProb: 1})
+	// Output:
+	// attacker-side binary: 33792 bytes, md5 b3e44cf620c3
+	//
+	// analyzer recovered: PULL ftp from 198.51.100.7:21, file "ftpupd.exe"
+	//
+	// == clean transfer (ok) ==
+	//   <- 220 banner             15 bytes
+	//   -> USER                   16 bytes
+	//   <- 331                    23 bytes
+	//   -> PASS                   13 bytes
+	//   <- 230                    20 bytes
+	//   -> TYPE                   8 bytes
+	//   <- 200                    19 bytes
+	//   -> PASV                   6 bytes
+	//   <- 227                    49 bytes
+	//   -> RETR                   17 bytes
+	//   <- 150                    29 bytes
+	//   <- 33 DATA blocks         33792 bytes
+	//   <- 226                    23 bytes
+	// stored 33792 bytes; libmagic: "MS-DOS executable PE for MS Windows (GUI) Intel 80386 32-bit"; executable: true
+	//
+	// == truncated transfer (truncated) ==
+	//   <- 220 banner             15 bytes
+	//   -> USER                   16 bytes
+	//   <- 331                    23 bytes
+	//   -> PASS                   13 bytes
+	//   <- 230                    20 bytes
+	//   -> TYPE                   8 bytes
+	//   <- 200                    19 bytes
+	//   -> PASV                   6 bytes
+	//   <- 227                    49 bytes
+	//   -> RETR                   17 bytes
+	//   <- 150                    29 bytes
+	//   <- 10 DATA blocks         9361 bytes
+	//   <- connection reset       0 bytes
+	// stored 9361 bytes; libmagic: "MS-DOS executable"; executable: false
 }
 
 func buildSample(rng *simrng.Source) []byte {

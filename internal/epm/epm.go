@@ -208,24 +208,6 @@ func (c *Clustering) ClusterOf(instanceID string) int {
 	return -1
 }
 
-// ClusterByPattern returns the cluster index for a pattern key, or -1.
-func (c *Clustering) ClusterByPattern(p Pattern) int {
-	if i, ok := c.byPattern[p.Key()]; ok {
-		return i
-	}
-	return -1
-}
-
-// IsInvariant reports whether value is an invariant of the named feature.
-func (c *Clustering) IsInvariant(feature, value string) bool {
-	for i, f := range c.Schema.Features {
-		if f == feature {
-			return c.invariants[i][value]
-		}
-	}
-	return false
-}
-
 // Classify returns the most specific pattern of the clustering matching
 // the given values and its cluster index. Ties on specificity are broken
 // by pattern key for determinism. ok=false means no pattern matches.

@@ -106,11 +106,11 @@ func TestInvariantDiscoveryThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.IsInvariant("md5", "md5A") {
+	if !c.invariants[0]["md5A"] {
 		t.Error("md5A must be invariant")
 	}
 	for _, v := range []string{"md5B", "md5C", "md5D"} {
-		if c.IsInvariant("md5", v) {
+		if c.invariants[0][v] {
 			t.Errorf("%s must not be invariant", v)
 		}
 	}
@@ -356,25 +356,6 @@ func TestTotalInvariants(t *testing.T) {
 	// md5: 2 invariants; size: 2; linker: 1 => 5.
 	if got := c.TotalInvariants(); got != 5 {
 		t.Errorf("TotalInvariants = %d, want 5", got)
-	}
-}
-
-func TestClusterByPattern(t *testing.T) {
-	s := testSchema()
-	instances := mkInstances("a", 15, 4, 4, "mdA", "1000", "92")
-	c, err := Run(s, instances, DefaultThresholds())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := c.Clusters[0].Pattern
-	if got := c.ClusterByPattern(p); got != 0 {
-		t.Errorf("ClusterByPattern = %d", got)
-	}
-	if got := c.ClusterByPattern(Pattern{Values: []string{"x", "y", "z"}}); got != -1 {
-		t.Errorf("unknown pattern = %d, want -1", got)
-	}
-	if got := c.ClusterOf("missing"); got != -1 {
-		t.Errorf("ClusterOf(missing) = %d, want -1", got)
 	}
 }
 

@@ -184,10 +184,6 @@ func (inc *Incremental) FullRegroups() int { return inc.fullRegroups }
 // treat it as read-only.
 func (inc *Incremental) Instances() []Instance { return inc.instances }
 
-// Clustering returns the last epoch's materialization, nil before the
-// first epoch.
-func (inc *Incremental) Clustering() *Clustering { return inc.cur }
-
 // Epoch integrates the pending pool and materializes the clustering over
 // every instance added so far. The second return reports whether a
 // threshold crossing forced the full-regroup fallback. The result is

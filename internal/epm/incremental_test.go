@@ -182,8 +182,8 @@ func TestIncrementalAddValidation(t *testing.T) {
 	if inc.Len() != 1 {
 		t.Fatalf("Len = %d after rejections, want 1", inc.Len())
 	}
-	if inc.Clustering() != nil {
-		t.Fatal("Clustering must be nil before the first epoch")
+	if inc.cur != nil {
+		t.Fatal("no clustering may exist before the first epoch")
 	}
 	if _, err := NewIncremental(Schema{}, DefaultThresholds()); err == nil {
 		t.Fatal("invalid schema must error")

@@ -176,7 +176,7 @@ func TestMergeAggregateOnlyCrossing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !merged.IsInvariant("fb", "hot") {
+	if !merged.invariants[1]["hot"] {
 		t.Fatal("aggregate-only value did not become invariant in the merge")
 	}
 	batch, err := RunParallel(schema, corpus, th, 0)

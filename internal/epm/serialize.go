@@ -2,7 +2,6 @@ package epm
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 )
@@ -17,8 +16,7 @@ type clusteringJSON struct {
 }
 
 // WriteJSON serializes the clustering, including discovered invariants and
-// full cluster membership, so a stored run can be reloaded and used for
-// classification without the original instances.
+// full cluster membership.
 func (c *Clustering) WriteJSON(w io.Writer) error {
 	out := clusteringJSON{
 		Schema:     c.Schema,
@@ -37,84 +35,4 @@ func (c *Clustering) WriteJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// ReadJSON reconstructs a Clustering written by WriteJSON. The result
-// supports every read accessor (ClusterOf, Classify, IsInvariant, ...).
-// To read several clusterings from one stream, use ReadAllJSON: a
-// json.Decoder buffers past the first value, so repeated ReadJSON calls
-// on the same reader would lose data.
-func ReadJSON(r io.Reader) (*Clustering, error) {
-	return decodeClustering(json.NewDecoder(r))
-}
-
-// ReadAllJSON reads every clustering from a stream of WriteJSON outputs.
-// A decode failure is wrapped with the index of the clustering being read
-// and the byte offset the decoder had reached, so a truncated or corrupt
-// multi-clustering file points at the damage instead of a bare JSON
-// error.
-func ReadAllJSON(r io.Reader) ([]*Clustering, error) {
-	dec := json.NewDecoder(r)
-	var out []*Clustering
-	for dec.More() {
-		c, err := decodeClustering(dec)
-		if err != nil {
-			return nil, fmt.Errorf("epm: clustering %d (stream offset %d): %w",
-				len(out), dec.InputOffset(), err)
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-func decodeClustering(dec *json.Decoder) (*Clustering, error) {
-	var in clusteringJSON
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("epm: decoding clustering: %w", err)
-	}
-	if err := in.Schema.Validate(); err != nil {
-		return nil, err
-	}
-	if err := in.Thresholds.Validate(); err != nil {
-		return nil, err
-	}
-	if len(in.Invariants) != len(in.Schema.Features) {
-		return nil, fmt.Errorf("epm: %d invariant sets for %d features",
-			len(in.Invariants), len(in.Schema.Features))
-	}
-	c := &Clustering{
-		Schema:     in.Schema,
-		Thresholds: in.Thresholds,
-		Stats:      in.Stats,
-		Clusters:   in.Clusters,
-		invariants: make([]map[string]bool, len(in.Invariants)),
-		byInstance: make(map[string]int),
-		byPattern:  make(map[string]int),
-	}
-	for i, vals := range in.Invariants {
-		c.invariants[i] = make(map[string]bool, len(vals))
-		for _, v := range vals {
-			c.invariants[i][v] = true
-		}
-	}
-	for i, cl := range c.Clusters {
-		if len(cl.Pattern.Values) != len(in.Schema.Features) {
-			return nil, fmt.Errorf("epm: cluster %d pattern arity %d, want %d",
-				i, len(cl.Pattern.Values), len(in.Schema.Features))
-		}
-		if cl.ID != i {
-			return nil, fmt.Errorf("epm: cluster %d carries ID %d", i, cl.ID)
-		}
-		if _, dup := c.byPattern[cl.Pattern.Key()]; dup {
-			return nil, fmt.Errorf("epm: duplicate pattern %s", cl.Pattern)
-		}
-		c.byPattern[cl.Pattern.Key()] = i
-		for _, id := range cl.InstanceIDs {
-			if _, dup := c.byInstance[id]; dup {
-				return nil, fmt.Errorf("epm: instance %q in multiple clusters", id)
-			}
-			c.byInstance[id] = i
-		}
-	}
-	return c, nil
 }

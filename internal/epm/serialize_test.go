@@ -2,7 +2,9 @@ package epm
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -32,98 +34,29 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := c.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
+	var back clusteringJSON
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Clusters) != len(c.Clusters) {
-		t.Fatalf("clusters = %d, want %d", len(back.Clusters), len(c.Clusters))
+	if !reflect.DeepEqual(back.Schema, c.Schema) || back.Thresholds != c.Thresholds || !reflect.DeepEqual(back.Stats, c.Stats) {
+		t.Error("schema, thresholds or stats lost in round trip")
 	}
-	// Assignments survive.
-	for _, cl := range c.Clusters {
-		for _, id := range cl.InstanceIDs {
-			if back.ClusterOf(id) != c.ClusterOf(id) {
-				t.Fatalf("assignment of %s differs", id)
+	// Clusters and their memberships survive.
+	if !reflect.DeepEqual(back.Clusters, c.Clusters) {
+		t.Fatalf("clusters differ after round trip")
+	}
+	// Invariants survive, sorted per feature.
+	if len(back.Invariants) != len(c.invariants) {
+		t.Fatalf("invariant sets = %d, want %d", len(back.Invariants), len(c.invariants))
+	}
+	for i, vals := range back.Invariants {
+		if len(vals) != len(c.invariants[i]) || !sort.StringsAreSorted(vals) {
+			t.Fatalf("feature %d invariants = %v", i, vals)
+		}
+		for _, v := range vals {
+			if !c.invariants[i][v] {
+				t.Fatalf("feature %d: %q is not an invariant", i, v)
 			}
 		}
-	}
-	// Invariants survive.
-	if !back.IsInvariant("md5", "mdA") || back.IsInvariant("md5", "poly-a") {
-		t.Error("invariants lost in round trip")
-	}
-	// Classification works on the restored clustering.
-	_, idx, ok := back.Classify([]string{"mdA", "1000", "92"})
-	if !ok || idx != c.ClusterOf("a-000") {
-		t.Errorf("Classify after restore: idx=%d ok=%v", idx, ok)
-	}
-	// Total invariants identical.
-	if back.TotalInvariants() != c.TotalInvariants() {
-		t.Errorf("invariant totals differ: %d vs %d", back.TotalInvariants(), c.TotalInvariants())
-	}
-}
-
-func TestReadJSONRejects(t *testing.T) {
-	cases := map[string]string{
-		"garbage":            "{nope",
-		"bad schema":         `{"schema":{"Dimension":"","Features":[]},"thresholds":{"MinInstances":1,"MinAttackers":1,"MinSensors":1},"invariants":[],"clusters":[]}`,
-		"bad thresholds":     `{"schema":{"Dimension":"m","Features":["a"]},"thresholds":{"MinInstances":0,"MinAttackers":1,"MinSensors":1},"invariants":[[]],"clusters":[]}`,
-		"invariant mismatch": `{"schema":{"Dimension":"m","Features":["a","b"]},"thresholds":{"MinInstances":1,"MinAttackers":1,"MinSensors":1},"invariants":[[]],"clusters":[]}`,
-		"pattern arity":      `{"schema":{"Dimension":"m","Features":["a"]},"thresholds":{"MinInstances":1,"MinAttackers":1,"MinSensors":1},"invariants":[[]],"clusters":[{"ID":0,"Pattern":{"Values":["x","y"]},"InstanceIDs":["i"]}]}`,
-		"wrong id":           `{"schema":{"Dimension":"m","Features":["a"]},"thresholds":{"MinInstances":1,"MinAttackers":1,"MinSensors":1},"invariants":[[]],"clusters":[{"ID":3,"Pattern":{"Values":["x"]},"InstanceIDs":["i"]}]}`,
-		"dup instance":       `{"schema":{"Dimension":"m","Features":["a"]},"thresholds":{"MinInstances":1,"MinAttackers":1,"MinSensors":1},"invariants":[[]],"clusters":[{"ID":0,"Pattern":{"Values":["x"]},"InstanceIDs":["i"]},{"ID":1,"Pattern":{"Values":["y"]},"InstanceIDs":["i"]}]}`,
-	}
-	for name, in := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := ReadJSON(strings.NewReader(in)); err == nil {
-				t.Error("ReadJSON accepted malformed input")
-			}
-		})
-	}
-}
-
-// TestReadAllJSONTruncatedStream verifies a multi-clustering stream that
-// breaks off mid-value fails with the clustering index and stream offset
-// in the error, and that intact prefixes still load.
-func TestReadAllJSONTruncatedStream(t *testing.T) {
-	c := buildClustering(t)
-	var buf bytes.Buffer
-	for i := 0; i < 3; i++ {
-		if err := c.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full := buf.Bytes()
-
-	all, err := ReadAllJSON(bytes.NewReader(full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 {
-		t.Fatalf("read %d clusterings, want 3", len(all))
-	}
-
-	// Cut inside the third value: the first two must have decoded, and
-	// the error must name clustering 2 and a position inside the stream.
-	cut := full[:len(full)-len(full)/4]
-	if _, err := ReadAllJSON(bytes.NewReader(cut)); err == nil {
-		t.Fatal("truncated stream must fail")
-	} else {
-		msg := err.Error()
-		if !strings.Contains(msg, "clustering 2") {
-			t.Errorf("error does not name the failing clustering: %v", err)
-		}
-		if !strings.Contains(msg, "stream offset") {
-			t.Errorf("error does not carry the stream offset: %v", err)
-		}
-	}
-
-	// A semantically invalid value mid-stream is located the same way.
-	var mixed bytes.Buffer
-	if err := c.WriteJSON(&mixed); err != nil {
-		t.Fatal(err)
-	}
-	mixed.WriteString(`{"schema":{"Dimension":"m","Features":["a"]},"thresholds":{"MinInstances":0,"MinAttackers":1,"MinSensors":1},"invariants":[[]],"clusters":[]}`)
-	if _, err := ReadAllJSON(&mixed); err == nil || !strings.Contains(err.Error(), "clustering 1") {
-		t.Errorf("invalid second clustering not located: %v", err)
 	}
 }

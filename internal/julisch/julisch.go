@@ -42,20 +42,6 @@ func (h Hierarchy) Parent(v string) string {
 	return Any
 }
 
-// Depth returns the number of generalization steps from v to Any,
-// guarding against cycles.
-func (h Hierarchy) Depth(v string) int {
-	d := 0
-	for v != Any {
-		v = h.Parent(v)
-		d++
-		if d > maxDepth {
-			return maxDepth
-		}
-	}
-	return d
-}
-
 const maxDepth = 16
 
 // Validate rejects hierarchies with cycles or excessive depth.

@@ -34,11 +34,8 @@ func TestHierarchyParentAndDepth(t *testing.T) {
 	if h.Parent(Any) != Any {
 		t.Error("parent of Any must be Any")
 	}
-	if h.Depth("445") != 2 || h.Depth("privileged") != 1 || h.Depth(Any) != 0 {
-		t.Errorf("depths: %d %d %d", h.Depth("445"), h.Depth("privileged"), h.Depth(Any))
-	}
 	var nilH Hierarchy
-	if nilH.Parent("x") != Any || nilH.Depth("x") != 1 {
+	if nilH.Parent("x") != Any {
 		t.Error("nil hierarchy must generalize to Any in one step")
 	}
 }

@@ -1,9 +1,11 @@
-// Package loadgen is the deterministic load generator of the overload
-// harness: it drives a landscape service over HTTP with per-client
-// event streams, records every admission outcome, and reports per-client
-// acceptance, rejection-by-reason, and latency quantiles. The event
-// content comes from the caller (typically benchdata.ClientEvents), so
-// a run is deterministic up to service-side timing.
+// The ingest load generator of the overload, shard-flood and replica
+// fan-out harnesses: it drives a landscape service over HTTP with
+// per-client event streams, records every admission outcome, and reports
+// per-client acceptance, rejection-by-reason, and latency quantiles. The
+// event content comes from ClientEvents, so a run is deterministic up to
+// service-side timing. It lives in a test file because only these
+// harnesses use it; the loadgen_test package sees its exported names.
+
 package loadgen
 
 import (
@@ -17,6 +19,8 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/pe"
+	"repro/internal/simrng"
 )
 
 // ClientIDHeader names the header carrying the client key; it mirrors
@@ -232,4 +236,47 @@ func post(ctx context.Context, httpc *http.Client, base, client string, body []b
 		}
 	}
 	return out
+}
+
+// ClientEvents builds a per-client ingest workload for the overload
+// harness: n delivery events namespaced under the client name — event
+// IDs "%s-ev%06d", sample MD5s "%s-smp%06d" — with the same
+// family-structured PE and EPM shape as StreamEvents, so concurrent
+// clients never collide on event IDs or samples while their traffic
+// still forms patterns. Deterministic in (client, n).
+func ClientEvents(client string, n int) []dataset.Event {
+	r := simrng.New(99).Stream("loadgen-" + client)
+	base := time.Date(2008, 3, 1, 0, 0, 0, 0, time.UTC)
+	events := make([]dataset.Event, 0, n)
+	for i := 0; i < n; i++ {
+		fam := i % 25
+		events = append(events, dataset.Event{
+			ID:          fmt.Sprintf("%s-ev%06d", client, i),
+			Time:        base.Add(time.Duration(i) * time.Second),
+			Attacker:    fmt.Sprintf("198.51.%d.%d", r.Intn(4), r.Intn(250)),
+			Sensor:      fmt.Sprintf("192.0.2.%d", r.Intn(120)),
+			FSMPath:     fmt.Sprintf("445:s%d", fam%5),
+			DestPort:    445,
+			Protocol:    []string{"csend", "ftp", "http"}[fam%3],
+			Filename:    fmt.Sprintf("drop%d.exe", fam%4),
+			PayloadPort: 9000 + fam%6,
+			Interaction: "PUSH",
+			Sample: pe.Features{
+				MD5:             fmt.Sprintf("%s-smp%06d", client, i),
+				Size:            20000 + fam*512,
+				Magic:           pe.MagicPEGUI,
+				IsPE:            true,
+				MachineType:     332,
+				NumSections:     3 + fam%3,
+				NumImportedDLLs: 2 + fam%4,
+				OSVersion:       40,
+				LinkerVersion:   60 + fam%2,
+				SectionNames:    fmt.Sprintf(".text,.data,.fam%d", fam),
+				ImportedDLLs:    fmt.Sprintf("kernel32.dll,ws2_32.dll,fam%d.dll", fam%7),
+				Kernel32Symbols: "CreateFileA,WriteFile",
+			},
+			DownloadOutcome: "ok",
+		})
+	}
+	return events
 }

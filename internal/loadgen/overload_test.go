@@ -16,7 +16,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/bcluster"
 	"repro/internal/behavior"
-	"repro/internal/benchdata"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/httpapi"
@@ -26,7 +25,7 @@ import (
 
 // synEnricher is the overload harness's deterministic sandbox stand-in:
 // the behavioral profile is a pure function of the sample MD5 (the
-// trailing index of benchdata.ClientEvents names, fam = index mod 25),
+// trailing index of loadgen.ClientEvents names, fam = index mod 25),
 // and every execution burns a fixed delay, which sets the service's
 // known apply capacity. The same enricher drives the streaming run and
 // its batch reference, so the two must converge.
@@ -237,7 +236,7 @@ func TestOverloadSmoke(t *testing.T) {
 			name := fmt.Sprintf("c%d", c)
 			plans = append(plans, loadgen.ClientPlan{
 				Name:    name,
-				Batches: batches(benchdata.ClientEvents(name, perClient*20), 20),
+				Batches: batches(loadgen.ClientEvents(name, perClient*20), 20),
 			})
 		}
 		rep, err := loadgen.Run(context.Background(), loadgen.Config{BaseURL: srv.URL, Clients: plans})
@@ -308,11 +307,11 @@ func TestOverloadSmoke(t *testing.T) {
 
 		flood := loadgen.ClientPlan{
 			Name:    "flood",
-			Batches: batches(benchdata.ClientEvents("flood", 150), 1),
+			Batches: batches(loadgen.ClientEvents("flood", 150), 1),
 		}
 		calm := loadgen.ClientPlan{
 			Name:     "calm",
-			Batches:  batches(benchdata.ClientEvents("calm", 12), 1),
+			Batches:  batches(loadgen.ClientEvents("calm", 12), 1),
 			Interval: 100 * time.Millisecond, // 10 posts/sec, inside the 20/sec budget
 		}
 		rep, err := loadgen.Run(context.Background(), loadgen.Config{
@@ -345,7 +344,7 @@ func TestOverloadSmoke(t *testing.T) {
 		cfg.Admission = admission.Config{DegradeTarget: time.Nanosecond}
 		svc, srv := newOverloadServer(t, cfg, enr)
 
-		for _, b := range batches(benchdata.ClientEvents("deg", 40), 8) {
+		for _, b := range batches(loadgen.ClientEvents("deg", 40), 8) {
 			body, _ := json.Marshal(b)
 			resp, err := http.Post(srv.URL+"/v1/ingest", "application/json", strings.NewReader(string(body)))
 			if err != nil {

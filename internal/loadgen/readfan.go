@@ -1,3 +1,8 @@
+// Package loadgen is the read-flood load generator: RunReads drives a
+// primary and its replicas over HTTP and reports the aggregate read
+// throughput that cmd/benchjson records. The ingest load generator of
+// the overload, shard-flood and replica fan-out harnesses lives in its
+// tests.
 package loadgen
 
 import (

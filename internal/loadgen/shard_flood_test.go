@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchdata"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/httpapi"
@@ -39,7 +38,7 @@ func shardFloodPlans() []loadgen.ClientPlan {
 		name := fmt.Sprintf("fc%d", c)
 		plans = append(plans, loadgen.ClientPlan{
 			Name:    name,
-			Batches: batches(benchdata.ClientEvents(name, 300), 20),
+			Batches: batches(loadgen.ClientEvents(name, 300), 20),
 		})
 	}
 	return plans

@@ -70,36 +70,6 @@ type Prefix struct {
 	Bits int // prefix length, 0..32
 }
 
-// ParsePrefix parses CIDR notation such as "67.43.232.0/24".
-func ParsePrefix(s string) (Prefix, error) {
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return Prefix{}, fmt.Errorf("netmodel: prefix %q missing '/'", s)
-	}
-	ip, err := ParseIP(s[:slash])
-	if err != nil {
-		return Prefix{}, err
-	}
-	bits, err := strconv.Atoi(s[slash+1:])
-	if err != nil || bits < 0 || bits > 32 {
-		return Prefix{}, fmt.Errorf("netmodel: invalid prefix length in %q", s)
-	}
-	p := Prefix{Base: ip, Bits: bits}
-	if p.Base != p.mask(ip) {
-		return Prefix{}, fmt.Errorf("netmodel: %q has host bits set", s)
-	}
-	return p, nil
-}
-
-// MustParsePrefix is ParsePrefix for literals; it panics on malformed input.
-func MustParsePrefix(s string) Prefix {
-	p, err := ParsePrefix(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func (p Prefix) mask(ip IP) IP {
 	if p.Bits <= 0 {
 		return 0
@@ -210,11 +180,6 @@ func (d *Deployment) LocationOf(sensor IP) int {
 		return i
 	}
 	return -1
-}
-
-// RandomSensor returns a uniformly random sensor address.
-func (d *Deployment) RandomSensor(r *rand.Rand) IP {
-	return d.sensors[r.Intn(len(d.sensors))]
 }
 
 // Distribution describes how an infected population spreads over the IP

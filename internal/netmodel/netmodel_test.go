@@ -45,7 +45,7 @@ func TestParseIPErrors(t *testing.T) {
 }
 
 func TestPrefixContains(t *testing.T) {
-	p := MustParsePrefix("67.43.232.0/24")
+	p := Prefix{Base: MustParseIP("67.43.232.0"), Bits: 24}
 	if !p.Contains(MustParseIP("67.43.232.36")) {
 		t.Error("prefix must contain member address")
 	}
@@ -58,21 +58,9 @@ func TestPrefixContains(t *testing.T) {
 	}
 }
 
-func TestParsePrefixRejectsHostBits(t *testing.T) {
-	if _, err := ParsePrefix("67.43.232.1/24"); err == nil {
-		t.Error("host bits set must be rejected")
-	}
-	if _, err := ParsePrefix("67.43.232.0/33"); err == nil {
-		t.Error("invalid length must be rejected")
-	}
-	if _, err := ParsePrefix("67.43.232.0"); err == nil {
-		t.Error("missing slash must be rejected")
-	}
-}
-
 func TestPrefixRandomStaysInside(t *testing.T) {
 	r := simrng.New(1).Stream("prefix")
-	p := MustParsePrefix("10.20.0.0/16")
+	p := Prefix{Base: MustParseIP("10.20.0.0"), Bits: 16}
 	for i := 0; i < 500; i++ {
 		ip := p.Random(r)
 		if !p.Contains(ip) {

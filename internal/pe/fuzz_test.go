@@ -46,29 +46,3 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
-
-// FuzzChecksum ensures checksum computation and verification stay in
-// bounds on arbitrary input.
-func FuzzChecksum(f *testing.F) {
-	valid, err := testImage().Build()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:100])
-	f.Add([]byte("MZ"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := Checksum(data); err != nil {
-			return
-		}
-		buf := append([]byte(nil), data...)
-		if err := SetChecksum(buf); err != nil {
-			t.Fatalf("Checksum succeeded but SetChecksum failed: %v", err)
-		}
-		ok, err := VerifyChecksum(buf)
-		if err != nil || !ok {
-			t.Fatalf("stamped image does not verify: ok=%v err=%v", ok, err)
-		}
-	})
-}

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Machine types (COFF header). Only i386 is exercised by the corpus, which
@@ -298,76 +297,6 @@ func buildImportData(imports []Import, baseRVA int) []byte {
 	return data
 }
 
-// Checksum computes the standard PE image checksum over the given bytes:
-// a ones-complement 16-bit word sum (with the stored checksum field
-// treated as zero) plus the file length. Loaders use it to detect
-// corrupted images; the reproduction uses it as an extra integrity signal
-// for truncated downloads.
-func Checksum(data []byte) (uint32, error) {
-	if len(data) < dosHeaderSize || data[0] != 'M' || data[1] != 'Z' {
-		return 0, ErrNotPE
-	}
-	peOff := int(binary.LittleEndian.Uint32(data[0x3c:]))
-	// CheckSum field lives at optional header offset 64.
-	ckOff := peOff + 4 + coffHeaderSize + 64
-	if ckOff+4 > len(data) {
-		return 0, fmt.Errorf("%w: checksum field beyond image", ErrTruncated)
-	}
-	var sum uint64
-	for i := 0; i+1 < len(data); i += 2 {
-		// Skip every word overlapping the 4-byte checksum field; images
-		// built by this package keep it word-aligned, but hostile inputs
-		// may not, and the computation must stay consistent between
-		// stamping and verification either way.
-		if i+2 > ckOff && i < ckOff+4 {
-			continue
-		}
-		sum += uint64(binary.LittleEndian.Uint16(data[i:]))
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	if len(data)%2 == 1 && !(len(data)-1 >= ckOff && len(data)-1 < ckOff+4) {
-		sum += uint64(data[len(data)-1])
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	sum = (sum & 0xffff) + (sum >> 16)
-	return uint32(sum) + uint32(len(data)), nil
-}
-
-// SetChecksum writes the computed checksum into the optional header of a
-// built image, in place.
-func SetChecksum(data []byte) error {
-	ck, err := Checksum(data)
-	if err != nil {
-		return err
-	}
-	peOff := int(binary.LittleEndian.Uint32(data[0x3c:]))
-	binary.LittleEndian.PutUint32(data[peOff+4+coffHeaderSize+64:], ck)
-	return nil
-}
-
-// VerifyChecksum reports whether the stored checksum matches the content.
-// Images with a zero stored checksum (never stamped) verify trivially,
-// like the Windows loader treats them.
-func VerifyChecksum(data []byte) (bool, error) {
-	if len(data) < dosHeaderSize || data[0] != 'M' || data[1] != 'Z' {
-		return false, ErrNotPE
-	}
-	peOff := int(binary.LittleEndian.Uint32(data[0x3c:]))
-	ckOff := peOff + 4 + coffHeaderSize + 64
-	if ckOff+4 > len(data) {
-		return false, fmt.Errorf("%w: checksum field beyond image", ErrTruncated)
-	}
-	stored := binary.LittleEndian.Uint32(data[ckOff:])
-	if stored == 0 {
-		return true, nil
-	}
-	computed, err := Checksum(data)
-	if err != nil {
-		return false, err
-	}
-	return stored == computed, nil
-}
-
 // SectionNames returns the image's section names in order, including a
 // synthesized import section when imports are present, matching what a
 // parser of the built bytes reports.
@@ -390,20 +319,6 @@ func (img *Image) ImportedDLLs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SymbolsOf returns the sorted symbols imported from the named DLL
-// (case-insensitive match), or nil when the DLL is not imported.
-func (img *Image) SymbolsOf(dll string) []string {
-	for _, imp := range img.Imports {
-		if strings.EqualFold(imp.DLL, dll) {
-			out := make([]string, len(imp.Symbols))
-			copy(out, imp.Symbols)
-			sort.Strings(out)
-			return out
-		}
-	}
-	return nil
 }
 
 // Clone returns a deep copy of the image, so that polymorphic engines can

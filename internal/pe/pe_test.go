@@ -359,17 +359,6 @@ func TestMD5ChangesWithContent(t *testing.T) {
 	}
 }
 
-func TestSymbolsOf(t *testing.T) {
-	img := testImage()
-	syms := img.SymbolsOf("kernel32.DLL")
-	if len(syms) != 2 || syms[0] != "GetProcAddress" {
-		t.Errorf("SymbolsOf = %v", syms)
-	}
-	if got := img.SymbolsOf("NTDLL.dll"); got != nil {
-		t.Errorf("SymbolsOf(absent) = %v, want nil", got)
-	}
-}
-
 func TestImageAccessors(t *testing.T) {
 	img := testImage()
 	names := img.SectionNames()

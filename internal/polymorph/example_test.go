@@ -1,12 +1,4 @@
-// Polymorphic: why simple static clustering still works. Build a PE
-// codebase, mutate it with the two polymorphic engine classes the paper
-// observes (Allaple-style per-instance, and per-source keying), and show
-// which static features survive — then run EPM over the mutated
-// instances and watch it rediscover the codebase as one cluster with the
-// MD5 wildcarded.
-//
-//	go run ./examples/polymorphic
-package main
+package polymorph_test
 
 import (
 	"bytes"
@@ -20,7 +12,13 @@ import (
 	"repro/internal/simrng"
 )
 
-func main() {
+// Example shows why simple static clustering still works. It builds a PE
+// codebase, mutates it with the two polymorphic engine classes the paper
+// observes (Allaple-style per-instance, and per-source keying), shows
+// which static features survive, then runs EPM over the mutated
+// instances, which rediscovers the codebase as one cluster with the MD5
+// wildcarded.
+func Example() {
 	// A codebase: three sections, KERNEL32 imports — the template a
 	// malware author compiles once and ships many times.
 	template := &pe.Image{
@@ -73,6 +71,24 @@ func main() {
 		fmt.Printf("  pattern %s groups %d instances\n", c.Pattern, c.Size())
 	}
 	fmt.Println("\nthe MD5 is wildcarded; size, section names, and linker version survive.")
+	// Output:
+	// == per-instance engine (Allaple class) ==
+	//   attacker 173.186.216.242 md5=4b60e8a047... (re-ship: changes) size=59904 sections=.text,rdata,.data,.idata
+	//   attacker 112.227.243.146 md5=75536f12e9... (re-ship: changes) size=59904 sections=.text,rdata,.data,.idata
+	//   attacker 124.84.118.76   md5=896b2f0b5e... (re-ship: changes) size=59904 sections=.text,rdata,.data,.idata
+	//   -> 3 distinct MD5s across 3 attackers; file size constant at 59904 bytes
+	//
+	// == per-source engine (M-cluster 13 class) ==
+	//   attacker 173.186.216.242 md5=6f0e1ea4a1... (re-ship: stable) size=59904 sections=.text,rdata,.data,.idata
+	//   attacker 112.227.243.146 md5=3ee806430c... (re-ship: stable) size=59904 sections=.text,rdata,.data,.idata
+	//   attacker 124.84.118.76   md5=b447640559... (re-ship: stable) size=59904 sections=.text,rdata,.data,.idata
+	//   -> 3 distinct MD5s across 3 attackers; file size constant at 59904 bytes
+	//
+	// == EPM over 60 polymorphic instances ==
+	// clusters: 1
+	//   pattern (*, 59904, .text,rdata,.data,.idata, 92) groups 60 instances
+	//
+	// the MD5 is wildcarded; size, section names, and linker version survive.
 }
 
 // showMutations prints which static features change across mutations.

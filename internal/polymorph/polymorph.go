@@ -17,7 +17,6 @@
 package polymorph
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/netmodel"
@@ -166,29 +165,6 @@ func Recompile(parent *pe.Image, r *rand.Rand) *pe.Image {
 	return img
 }
 
-// Repack models running the binary through a packer: the section layout
-// collapses into packer stub sections and the import table shrinks to the
-// loader bootstrap imports.
-func Repack(parent *pe.Image, r *rand.Rand) *pe.Image {
-	img := parent.Clone()
-	var payload int
-	for _, s := range img.Sections {
-		payload += len(s.Data)
-	}
-	packed := make([]byte, payload/2+r.Intn(payload/4+1))
-	r.Read(packed)
-	stub := make([]byte, 512)
-	r.Read(stub)
-	img.Sections = []pe.Section{
-		{Name: "UPX0", Data: stub, Characteristics: pe.SectionCode | pe.SectionExecute | pe.SectionRead},
-		{Name: "UPX1", Data: packed, Characteristics: pe.SectionInitializedData | pe.SectionRead | pe.SectionWrite},
-	}
-	img.Imports = []pe.Import{
-		{DLL: "KERNEL32.dll", Symbols: []string{"GetProcAddress", "LoadLibraryA", "VirtualAlloc"}},
-	}
-	return img
-}
-
 // AddImport models a code modification that starts referencing extra API
 // surface — visible to EPM through the Kernel32 symbol feature.
 func AddImport(dll, symbol string) VariantOp {
@@ -207,20 +183,5 @@ func AddImport(dll, symbol string) VariantOp {
 		}
 		img.Imports = append(img.Imports, pe.Import{DLL: dll, Symbols: []string{symbol}})
 		return img
-	}
-}
-
-// EngineFor instantiates an engine by ground-truth name; it is the single
-// registry the landscape generator uses.
-func EngineFor(name string, seed uint64) (Engine, error) {
-	switch name {
-	case "none", "":
-		return None{}, nil
-	case "allaple":
-		return Allaple{Seed: seed}, nil
-	case "per-source":
-		return PerSource{Seed: seed}, nil
-	default:
-		return nil, fmt.Errorf("polymorph: unknown engine %q", name)
 	}
 }

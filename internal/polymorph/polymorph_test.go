@@ -174,58 +174,33 @@ func TestRecompileChangesLinker(t *testing.T) {
 	}
 }
 
-func TestRepackCollapsesSections(t *testing.T) {
-	r := simrng.New(3).Stream("repack")
-	child := Repack(template(), r)
-	names := child.SectionNames()
-	if len(child.Sections) != 2 || names[0] != "UPX0" || names[1] != "UPX1" {
-		t.Fatalf("Repack sections = %v", names)
+// symbolsOf returns the symbols img imports from dll, or nil.
+func symbolsOf(img *pe.Image, dll string) []string {
+	for _, imp := range img.Imports {
+		if imp.DLL == dll {
+			return imp.Symbols
+		}
 	}
-	raw, err := child.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft := pe.ExtractFeatures(raw)
-	if !ft.IsPE {
-		t.Error("repacked image must stay a valid PE")
-	}
-	if ft.Kernel32Symbols != "GetProcAddress,LoadLibraryA,VirtualAlloc" {
-		t.Errorf("repacked imports = %q", ft.Kernel32Symbols)
-	}
+	return nil
 }
 
 func TestAddImport(t *testing.T) {
 	r := simrng.New(4).Stream("addimport")
 	op := AddImport("KERNEL32.dll", "CreateMutexA")
 	child := op(template(), r)
-	syms := child.SymbolsOf("KERNEL32.dll")
+	syms := symbolsOf(child, "KERNEL32.dll")
 	if len(syms) != 3 {
 		t.Fatalf("symbols = %v", syms)
 	}
 	// Idempotent: adding the same symbol twice is a no-op.
 	child2 := op(child, r)
-	if got := len(child2.SymbolsOf("KERNEL32.dll")); got != 3 {
+	if got := len(symbolsOf(child2, "KERNEL32.dll")); got != 3 {
 		t.Errorf("second AddImport grew symbols to %d", got)
 	}
 	// New DLL path.
 	child3 := AddImport("WS2_32.dll", "socket")(template(), r)
-	if got := child3.SymbolsOf("WS2_32.dll"); len(got) != 1 || got[0] != "socket" {
+	if got := symbolsOf(child3, "WS2_32.dll"); len(got) != 1 || got[0] != "socket" {
 		t.Errorf("new dll symbols = %v", got)
-	}
-}
-
-func TestEngineFor(t *testing.T) {
-	for _, name := range []string{"none", "", "allaple", "per-source"} {
-		e, err := EngineFor(name, 7)
-		if err != nil {
-			t.Errorf("EngineFor(%q): %v", name, err)
-		}
-		if e == nil {
-			t.Errorf("EngineFor(%q) = nil", name)
-		}
-	}
-	if _, err := EngineFor("quantum", 7); err == nil {
-		t.Error("unknown engine must error")
 	}
 }
 

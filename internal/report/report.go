@@ -33,33 +33,6 @@ func Table1(e, p, m *epm.Clustering) string {
 	return sb.String()
 }
 
-// Counts holds the §4.1 headline numbers.
-type Counts struct {
-	Events            int
-	Samples           int
-	ExecutableSamples int
-	EClusters         int
-	PClusters         int
-	MClusters         int
-	BClusters         int
-}
-
-// BigPicture renders the §4.1 headline numbers.
-func BigPicture(c Counts) string {
-	var sb strings.Builder
-	sb.WriteString("Big picture (Section 4.1)\n")
-	tw := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "attack events\t%d\n", c.Events)
-	fmt.Fprintf(tw, "malware samples collected\t%d\n", c.Samples)
-	fmt.Fprintf(tw, "samples executable in sandbox\t%d\n", c.ExecutableSamples)
-	fmt.Fprintf(tw, "E-clusters\t%d\n", c.EClusters)
-	fmt.Fprintf(tw, "P-clusters\t%d\n", c.PClusters)
-	fmt.Fprintf(tw, "M-clusters\t%d\n", c.MClusters)
-	fmt.Fprintf(tw, "B-clusters\t%d\n", c.BClusters)
-	_ = tw.Flush()
-	return sb.String()
-}
-
 // Figure3 renders the filtered E→P→M→B relationship graph.
 func Figure3(g *analysis.RelationGraph) string {
 	var sb strings.Builder

@@ -44,20 +44,6 @@ func TestTable1Rendering(t *testing.T) {
 	}
 }
 
-func TestBigPictureRendering(t *testing.T) {
-	res := results(t)
-	events, samples, executable, e, p, m, b := res.Counts()
-	out := BigPicture(Counts{
-		Events: events, Samples: samples, ExecutableSamples: executable,
-		EClusters: e, PClusters: p, MClusters: m, BClusters: b,
-	})
-	for _, want := range []string{"E-clusters", "P-clusters", "M-clusters", "B-clusters", "executable"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("BigPicture missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestFigure3Rendering(t *testing.T) {
 	res := results(t)
 	g, err := analysis.BuildRelationGraph(res.Dataset, res.E, res.P, res.M, res.B, res.CrossMap, 30)

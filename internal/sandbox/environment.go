@@ -95,15 +95,6 @@ func (e *Environment) ResolveDNS(name string, at time.Time) (netmodel.IP, bool) 
 	return d.ip, true
 }
 
-// AddEndpoint marks host:port reachable during the given windows (the
-// whole study period when none are given).
-func (e *Environment) AddEndpoint(host string, port int, windows ...simtime.Interval) {
-	if len(windows) == 0 {
-		windows = []simtime.Interval{simtime.StudyInterval()}
-	}
-	e.endpoints[endpointKey(host, port)] = windows
-}
-
 // Reachable reports whether host:port accepts connections at the instant.
 // Host names are resolved through the environment DNS first; dotted
 // addresses are used literally.

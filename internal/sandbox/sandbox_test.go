@@ -44,7 +44,7 @@ func TestEnvironmentDefaultWindowIsStudy(t *testing.T) {
 
 func TestEnvironmentReachable(t *testing.T) {
 	env := NewEnvironment()
-	env.AddEndpoint("203.0.113.5", 6667, window(0, 10))
+	env.AddIRC(netmodel.MustParseIP("203.0.113.5"), 6667, "#idle", &behavior.Program{Name: "idle"}, window(0, 10))
 	env.AddDNS("cnc.example.net", netmodel.MustParseIP("203.0.113.5"), window(0, 20))
 
 	if !env.Reachable("203.0.113.5", 6667, simtime.WeekStart(5)) {

@@ -277,23 +277,6 @@ func (f *FSM) Edges() int {
 	return n
 }
 
-// PendingBins reports the number of immature candidate bins.
-func (f *FSM) PendingBins() int {
-	n := 0
-	var walk func(*state)
-	walk = func(s *state) {
-		n += len(s.bins)
-		for _, e := range s.edges {
-			walk(e.target)
-		}
-		for _, b := range s.bins {
-			walk(b.target)
-		}
-	}
-	walk(f.root)
-	return n
-}
-
 // Set is the per-port collection of FSMs a deployment shares through its
 // gateway.
 type Set struct {
@@ -335,9 +318,4 @@ func (s *Set) Ports() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// FSM returns the model for one port, or nil.
-func (s *Set) FSM(port int) *FSM {
-	return s.perPort[port]
 }

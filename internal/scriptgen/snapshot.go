@@ -118,13 +118,3 @@ func RestoreSet(snap SetSnapshot) (*Set, error) {
 	}
 	return out, nil
 }
-
-// EdgeCount reports the number of matured edges across all ports, a cheap
-// staleness check for sensors.
-func (s *Set) EdgeCount() int {
-	n := 0
-	for _, f := range s.perPort {
-		n += f.Edges()
-	}
-	return n
-}

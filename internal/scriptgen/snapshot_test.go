@@ -8,6 +8,32 @@ import (
 	"repro/internal/simrng"
 )
 
+// pendingBins reports the number of immature candidate bins of f.
+func pendingBins(f *FSM) int {
+	n := 0
+	var walk func(*state)
+	walk = func(s *state) {
+		n += len(s.bins)
+		for _, e := range s.edges {
+			walk(e.target)
+		}
+		for _, b := range s.bins {
+			walk(b.target)
+		}
+	}
+	walk(f.root)
+	return n
+}
+
+// edgeCount reports the number of matured edges across all ports of s.
+func edgeCount(s *Set) int {
+	n := 0
+	for _, f := range s.perPort {
+		n += f.Edges()
+	}
+	return n
+}
+
 // learnSet builds a Set with two matured implementations on one port and
 // one on another.
 func learnSet(t *testing.T) (*Set, []*exploit.Implementation) {
@@ -61,7 +87,7 @@ func TestSnapshotExcludesBins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.FSM(445).PendingBins(); got != 0 {
+	if got := pendingBins(restored.perPort[445]); got != 0 {
 		t.Errorf("restored FSM has %d bins, want 0", got)
 	}
 	if _, ok := restored.Classify(445, implD.Dialog(r, nil).ClientMessages()); ok {
@@ -111,14 +137,14 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 func TestEdgeCount(t *testing.T) {
 	s, _ := learnSet(t)
 	// 3 implementations x 3 stages... impl-c has 3 stages on its own port.
-	if got := s.EdgeCount(); got < 6 {
+	if got := edgeCount(s); got < 6 {
 		t.Errorf("EdgeCount = %d, want >= 6", got)
 	}
 	restored, err := RestoreSet(s.Snapshot(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.EdgeCount() != s.EdgeCount() {
-		t.Errorf("edge counts differ: %d vs %d", restored.EdgeCount(), s.EdgeCount())
+	if edgeCount(restored) != edgeCount(s) {
+		t.Errorf("edge counts differ: %d vs %d", edgeCount(restored), edgeCount(s))
 	}
 }

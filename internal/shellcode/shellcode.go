@@ -288,22 +288,3 @@ type FailureModel struct {
 	// FailProb is the probability that a download yields nothing.
 	FailProb float64
 }
-
-// Emulate performs the download emulation: given the action and the bytes
-// the attacker would serve, it applies the failure model and returns the
-// stored payload and outcome. A truncated download keeps a random 25-75%
-// prefix of the original.
-func Emulate(_ Action, full []byte, fm FailureModel, r *rand.Rand) ([]byte, DownloadOutcome) {
-	x := r.Float64()
-	switch {
-	case x < fm.FailProb:
-		return nil, DownloadFailed
-	case x < fm.FailProb+fm.TruncateProb && len(full) > 4:
-		cut := len(full)/4 + r.Intn(len(full)/2)
-		return full[:cut], DownloadTruncated
-	default:
-		out := make([]byte, len(full))
-		copy(out, full)
-		return out, DownloadOK
-	}
-}

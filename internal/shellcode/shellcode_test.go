@@ -177,60 +177,6 @@ func TestEncodeValidates(t *testing.T) {
 	}
 }
 
-func TestEmulateOutcomes(t *testing.T) {
-	r := simrng.New(8).Stream("dl")
-	full := bytes.Repeat([]byte{0xAB}, 10000)
-
-	// No failures configured: always OK and content preserved.
-	data, outcome := Emulate(Action{}, full, FailureModel{}, r)
-	if outcome != DownloadOK || !bytes.Equal(data, full) {
-		t.Fatalf("outcome = %v, len = %d", outcome, len(data))
-	}
-	// Emulate must copy, not alias.
-	data[0] = 0x00
-	if full[0] == 0x00 {
-		t.Error("Emulate aliases the input buffer")
-	}
-
-	// Always fail.
-	data, outcome = Emulate(Action{}, full, FailureModel{FailProb: 1}, r)
-	if outcome != DownloadFailed || data != nil {
-		t.Fatalf("outcome = %v, data = %d bytes", outcome, len(data))
-	}
-
-	// Always truncate: strict prefix of 25-75%.
-	for i := 0; i < 50; i++ {
-		data, outcome = Emulate(Action{}, full, FailureModel{TruncateProb: 1}, r)
-		if outcome != DownloadTruncated {
-			t.Fatalf("outcome = %v", outcome)
-		}
-		if len(data) >= len(full) || len(data) < len(full)/4 {
-			t.Fatalf("truncated length = %d of %d", len(data), len(full))
-		}
-		if !bytes.Equal(data, full[:len(data)]) {
-			t.Fatal("truncated data is not a prefix")
-		}
-	}
-}
-
-func TestEmulateRates(t *testing.T) {
-	r := simrng.New(9).Stream("dl-rates")
-	full := bytes.Repeat([]byte{1}, 1000)
-	fm := FailureModel{TruncateProb: 0.15, FailProb: 0.05}
-	counts := map[DownloadOutcome]int{}
-	const n = 5000
-	for i := 0; i < n; i++ {
-		_, o := Emulate(Action{}, full, fm, r)
-		counts[o]++
-	}
-	if f := float64(counts[DownloadFailed]) / n; f < 0.03 || f > 0.08 {
-		t.Errorf("fail rate = %.3f, want ~0.05", f)
-	}
-	if tr := float64(counts[DownloadTruncated]) / n; tr < 0.11 || tr > 0.19 {
-		t.Errorf("truncate rate = %.3f, want ~0.15", tr)
-	}
-}
-
 func TestInteractionString(t *testing.T) {
 	if Push.String() != "PUSH" || Pull.String() != "PULL" || Central.String() != "central" {
 		t.Error("Interaction strings wrong")

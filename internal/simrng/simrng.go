@@ -10,7 +10,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Source derives independent deterministic streams from a root seed.
@@ -72,38 +71,6 @@ func Pick[T any](r *rand.Rand, items []T) T {
 	return items[r.Intn(len(items))]
 }
 
-// WeightedIndex returns an index into weights sampled proportionally to the
-// weight values. Non-positive weights are treated as zero. It panics if the
-// total weight is not positive.
-func WeightedIndex(r *rand.Rand, weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		panic("simrng: WeightedIndex requires a positive total weight")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		if x < w {
-			return i
-		}
-		x -= w
-	}
-	// Floating-point slack: fall back to the last positive weight.
-	for i := len(weights) - 1; i >= 0; i-- {
-		if weights[i] > 0 {
-			return i
-		}
-	}
-	panic("simrng: unreachable")
-}
-
 // Poisson samples a Poisson-distributed count with the given mean using
 // Knuth's algorithm for small means and a normal approximation for large
 // ones. A non-positive mean yields 0.
@@ -154,16 +121,4 @@ func SampleWithoutReplacement(r *rand.Rand, n, k int) []int {
 		out = append(out, vj)
 	}
 	return out
-}
-
-// SortedKeys returns the keys of m in sorted order. Simulation code must
-// never range over a map when the iteration order feeds an RNG decision;
-// this helper makes the deterministic form convenient.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -74,31 +74,6 @@ func TestPick(t *testing.T) {
 	}
 }
 
-func TestWeightedIndex(t *testing.T) {
-	r := New(1).Stream("weighted")
-	weights := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	for i := 0; i < 4000; i++ {
-		counts[WeightedIndex(r, weights)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight index selected %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Errorf("weight ratio off: got %.2f want ~3.0 (counts %v)", ratio, counts)
-	}
-}
-
-func TestWeightedIndexPanicsOnZeroTotal(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive total weight")
-		}
-	}()
-	WeightedIndex(New(1).Stream("w"), []float64{0, -1})
-}
-
 func TestPoissonMean(t *testing.T) {
 	r := New(9).Stream("poisson")
 	for _, mean := range []float64{0.5, 4, 60} {
@@ -177,17 +152,6 @@ func TestSampleWithoutReplacementProperty(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"c": 1, "a": 2, "b": 3}
-	got := SortedKeys(m)
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedKeys = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestSplitmix64NotIdentity(t *testing.T) {
 	f := func(x uint64) bool {
 		y := splitmix64(x)
@@ -201,15 +165,5 @@ func TestSplitmix64NotIdentity(t *testing.T) {
 func TestSourceSeed(t *testing.T) {
 	if got := New(42).Seed(); got != 42 {
 		t.Errorf("Seed = %d, want 42", got)
-	}
-}
-
-func TestWeightedIndexFloatingSlack(t *testing.T) {
-	// All weight on the final index exercises the fallback path.
-	r := New(5).Stream("slack")
-	for i := 0; i < 100; i++ {
-		if got := WeightedIndex(r, []float64{0, 0, 1e-9}); got != 2 {
-			t.Fatalf("WeightedIndex = %d, want 2", got)
-		}
 	}
 }

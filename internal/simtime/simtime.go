@@ -54,17 +54,6 @@ func InStudy(t time.Time) bool {
 	return !t.Before(StudyStart) && t.Before(StudyEnd)
 }
 
-// Clamp returns t limited to the study window.
-func Clamp(t time.Time) time.Time {
-	if t.Before(StudyStart) {
-		return StudyStart
-	}
-	if !t.Before(StudyEnd) {
-		return StudyEnd.Add(-time.Nanosecond)
-	}
-	return t
-}
-
 // ShortDate renders t in the compact day/month form the paper uses for
 // activity timelines (e.g. "15/7").
 func ShortDate(t time.Time) string {

@@ -57,16 +57,6 @@ func (s *Service) StorageFailure() error {
 	return nil
 }
 
-// ReadOnlyReason reports why writes are refused: "" while writable,
-// StorageFailedReason after storage degradation. Replica read-onlyness
-// is a role, not a degradation, and is surfaced separately.
-func (s *Service) ReadOnlyReason() string {
-	if s.storageErr.Load() != nil {
-		return StorageFailedReason
-	}
-	return ""
-}
-
 // enterReadOnly latches the first persistent storage failure; later
 // ones land in the recent-errors ring only.
 func (s *Service) enterReadOnly(op string, err error) {
