@@ -1,6 +1,6 @@
 # Mirrors .github/workflows/ci.yml for local runs.
 
-.PHONY: check vet test race bench bench-json bench-guard bench-e2e run-landscaped smoke-landscaped smoke-crash smoke-chaos smoke-overload smoke-shard smoke-replica smoke-poison fuzz-smoke
+.PHONY: check build vet fmt-check bench-module test race bench bench-json bench-guard bench-e2e run-landscaped smoke-landscaped smoke-crash smoke-chaos smoke-overload smoke-shard smoke-replica smoke-poison fuzz-smoke
 
 # Every recipe that backgrounds a daemon first arms KILL_ON_EXIT: the
 # shell SIGKILLs the PIDs it names when the recipe exits, fails or is
@@ -8,10 +8,23 @@
 KILL_ON_EXIT = DPID= PRIM= FOLL=; \
 	trap 'kill -KILL $$DPID $$PRIM $$FOLL 2>/dev/null' EXIT; trap 'exit 1' HUP INT TERM
 
-check: vet test race
+check: build vet fmt-check bench-module test race
+
+build:
+	go build ./...
 
 vet:
 	go vet ./...
+
+# Every tracked Go file must be gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
+
+# The benchmark harness is its own module (bench/go.mod, replacing repro
+# with this checkout); vet and test it so it cannot rot against the code
+# it measures.
+bench-module:
+	go -C bench vet ./... && go -C bench test ./...
 
 test:
 	go build ./... && go test ./...
