@@ -165,12 +165,13 @@ smoke-overload:
 	go test -count=1 -run TestOverloadSmoke -v ./internal/loadgen/
 
 # Sharding smoke: the race detector over the N-shard == 1-shard merged
-# view equivalence, a 4-shard in-process replay convergence gate, and
+# view equivalence and the merged-view cache's differential test, a
+# 4-shard in-process replay convergence gate, and
 # the loadgen flood through 1- and 4-shard daemons (merged-view
 # equivalence plus the >=2x aggregate-throughput bound, enforced where
 # the box has >=4 cores). Mirrors the CI "Shard smoke" step.
 smoke-shard:
-	go test -count=1 -race -run TestShardEquivalence ./internal/shard/
+	go test -count=1 -race -run 'TestShardEquivalence|TestMergedViewCache' ./internal/shard/
 	go run ./cmd/landscaped -replay -small -shards 4
 	go test -count=1 -run TestShardFloodSmoke -v ./internal/loadgen/
 

@@ -75,6 +75,14 @@ func run(seed uint64, small bool, scenarioPath, sel string, parallelism int) err
 	scenario.Parallelism = parallelism
 
 	fmt.Printf("# Experiments (seed=%d, scenario=%s)\n\n", seed, name)
+	// The extensions build their own landscapes and read no pipeline
+	// result.
+	switch sel {
+	case "coverage":
+		return coverage(scenario)
+	case "distributed":
+		return distributed(scenario)
+	}
 	res, err := core.Run(scenario)
 	if err != nil {
 		return err
@@ -133,16 +141,6 @@ func run(seed uint64, small bool, scenarioPath, sel string, parallelism int) err
 	}
 	if want("population") {
 		if err := population(res); err != nil {
-			return err
-		}
-	}
-	if sel == "coverage" {
-		if err := coverage(scenario); err != nil {
-			return err
-		}
-	}
-	if sel == "distributed" {
-		if err := distributed(scenario); err != nil {
 			return err
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"mime"
 	"net"
 	"net/http"
@@ -247,12 +246,12 @@ func writeServiceError(w http.ResponseWriter, err error) {
 			code = http.StatusTooManyRequests
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds(rej.RetryAfter)))
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfter(rej.RetryAfter, time.Second)))
 		w.WriteHeader(code)
 		json.NewEncoder(w).Encode(map[string]any{
 			"error":          rej.Error(),
 			"reason":         string(rej.Reason),
-			"retry_after_ms": rej.RetryAfter.Milliseconds(),
+			"retry_after_ms": retryAfter(rej.RetryAfter, time.Millisecond),
 		})
 		return
 	}
@@ -268,15 +267,11 @@ func writeServiceError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusServiceUnavailable, err)
 }
 
-// retryAfterSeconds renders a Retry-After value: whole seconds, at
-// least 1 (a zero Retry-After header is "retry immediately", which
-// defeats the point of sending one).
-func retryAfterSeconds(d time.Duration) int {
-	s := int(math.Ceil(d.Seconds()))
-	if s < 1 {
-		s = 1
-	}
-	return s
+// retryAfter renders a retry hint in whole units, rounded up and at
+// least 1: a zero hint reads as "retry immediately", which defeats the
+// point of sending one.
+func retryAfter(d, unit time.Duration) int64 {
+	return max(1, int64((d+unit-1)/unit))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -1,6 +1,7 @@
 package httpapi_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/behavior"
 	"repro/internal/benchdata"
 	"repro/internal/core"
@@ -428,6 +430,50 @@ func TestIngestRateLimitByClientHeader(t *testing.T) {
 	}
 	if n := svc.Stats().Admission.RateLimitClients; n != 3 {
 		t.Fatalf("limiter tracks %d clients, want 3 (flood, calm, remote IP)", n)
+	}
+}
+
+// rejectingBackend refuses every ingest with one admission rejection.
+type rejectingBackend struct {
+	httpapi.Backend
+	rej *admission.Rejection
+}
+
+func (b rejectingBackend) IngestFrom(context.Context, string, []dataset.Event) error { return b.rej }
+
+// TestRetryAfterRoundsUp checks that both retry hints round a rejection's
+// wait up to a whole unit, at least 1: a sub-millisecond deficit must
+// not tell the client to retry after 0 ms.
+func TestRetryAfterRoundsUp(t *testing.T) {
+	svc := newService(t, stream.DefaultConfig(), nopEnricher{})
+	for _, tc := range []struct {
+		wait   time.Duration
+		header string
+		ms     float64
+	}{
+		{300 * time.Microsecond, "1", 1},
+		{time.Millisecond, "1", 1},
+		{1200*time.Millisecond + time.Microsecond, "2", 1201},
+	} {
+		be := rejectingBackend{svc, &admission.Rejection{Reason: admission.ReasonRateLimit, RetryAfter: tc.wait}}
+		ts := httptest.NewServer(httpapi.New(func() httpapi.Backend { return be }, httpapi.Options{}))
+		resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader("[]"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		ts.Close()
+		if err != nil || resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("wait %v: %s (%v), want 429", tc.wait, resp.Status, err)
+		}
+		if got := resp.Header.Get("Retry-After"); got != tc.header {
+			t.Errorf("wait %v: Retry-After %q, want %q", tc.wait, got, tc.header)
+		}
+		if body["retry_after_ms"] != tc.ms {
+			t.Errorf("wait %v: retry_after_ms %v, want %v", tc.wait, body["retry_after_ms"], tc.ms)
+		}
 	}
 }
 

@@ -1,13 +1,18 @@
 package shard
 
 // Merged global views. The coordinator merges the shards' incremental
-// engines on demand — epm.Merge over the three EPM dimensions,
-// bcluster.Merge over the behavioral clusterers — and caches the result
-// keyed by the per-shard state versions, so an unchanged deployment
-// serves queries from the cache without touching the shards.
+// engines on demand — epm.Merge for each EPM dimension, bcluster.Merge
+// over the behavioral clusterers — and caches each of the four merged
+// components under its own key: the per-shard engine state that
+// component's merge reads (see epmKey and bKey). A query rebuilds only
+// the components whose key moved and carries the rest over, so an
+// unchanged deployment serves from the cache without touching the
+// shards' engines, and a batch that crossed no EPM epoch re-merges at
+// most the B partition.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,13 +21,42 @@ import (
 	"repro/internal/stream"
 )
 
-// mergedState is one immutable merged snapshot.
+// epmKey is one shard's part of an EPM dimension's cache key.
+// epm.Merge reads the engine's sketches, invariant sets, pattern groups
+// and epoch-integrated instances. Add only appends to the pending pool,
+// and Epoch is the one call that changes any of the four, so the epoch
+// counter moves exactly when the merge's input does.
+type epmKey struct {
+	eng    *epm.Incremental
+	epochs int
+}
+
+// bKey is one shard's part of the B partition's cache key.
+// bcluster.Merge reads the sample IDs, the union-find, the posted
+// samples with their prefix index, and the probe stats. Add changes the
+// first and the last (it moves Samples()) and Verify all four (it moves
+// Epochs(); a Verify with nothing parked is a no-op). Amend only
+// rewrites the profile of a parked sample, which no probe reads, and
+// DrainHeld only defense status, so neither can change the merge.
+type bKey struct {
+	eng             *bcluster.Incremental
+	samples, epochs int
+}
+
+// mergedState is one immutable merged snapshot. A snapshot shares the
+// components whose keys did not move with the one it replaced; both
+// merges return self-contained copies, so a component outlives the
+// engine state it was built from.
 type mergedState struct {
-	// versions holds the per-shard state versions the snapshot was built
-	// from — the cache key.
-	versions []uint64
+	// epmKeys and bKeys, one entry per shard, are the components' cache
+	// keys. They hold the engines themselves: a shard that restored or
+	// reset its state has new engines whose counters may repeat the old
+	// ones, and a key that references an engine keeps its address from
+	// being reused.
+	epmKeys [3][]epmKey
+	bKeys   []bKey
 	// epm holds the merged ε/π/μ clusterings, b the merged behavioral
-	// partition; all self-contained copies.
+	// partition.
 	epm [3]*epm.Clustering
 	b   *bcluster.Result
 	// stableIDs maps each merged EPM cluster index to its
@@ -31,8 +65,8 @@ type mergedState struct {
 	stableIDs [3][]int
 }
 
-// merged returns the current merged snapshot, rebuilding it only when
-// some shard's state version moved. Lock order: viewMu first, then the
+// merged returns the current merged snapshot, rebuilding only the
+// components whose key moved. Lock order: viewMu first, then the
 // per-shard read locks in shard order — one merger at a time, and the
 // shards' apply workers only ever take their own lock, so the order
 // cannot cycle.
@@ -40,10 +74,18 @@ func (c *Coordinator) merged() (*mergedState, error) {
 	c.viewMu.Lock()
 	defer c.viewMu.Unlock()
 
-	views := make([]stream.EngineView, len(c.shards))
 	releases := make([]func(), len(c.shards))
+	m := &mergedState{bKeys: make([]bKey, len(c.shards))}
+	for d := range m.epmKeys {
+		m.epmKeys[d] = make([]epmKey, len(c.shards))
+	}
 	for i, s := range c.shards {
-		views[i], releases[i] = s.AcquireView()
+		var v stream.EngineView
+		v, releases[i] = s.AcquireView()
+		for d, eng := range v.EPM {
+			m.epmKeys[d][i] = epmKey{eng, eng.Epochs()}
+		}
+		m.bKeys[i] = bKey{v.B, v.B.Samples(), v.B.Epochs()}
 	}
 	release := func() {
 		for i := len(releases) - 1; i >= 0; i-- {
@@ -51,41 +93,42 @@ func (c *Coordinator) merged() (*mergedState, error) {
 		}
 	}
 
-	if c.view != nil {
-		fresh := true
-		for i := range views {
-			if c.view.versions[i] != views[i].Version {
-				fresh = false
-				break
-			}
-		}
-		if fresh {
-			release()
-			return c.view, nil
-		}
+	old := c.view
+	var epmDirty [3]bool
+	for d := range m.epmKeys {
+		epmDirty[d] = old == nil || !slices.Equal(m.epmKeys[d], old.epmKeys[d])
+	}
+	bDirty := old == nil || !slices.Equal(m.bKeys, old.bKeys)
+	if !bDirty && epmDirty == [3]bool{} {
+		release()
+		return old, nil
+	}
+	if old != nil {
+		m.epm, m.b, m.stableIDs = old.epm, old.b, old.stableIDs
 	}
 
-	m := &mergedState{versions: make([]uint64, len(views))}
 	var err error
 	func() {
 		defer release()
-		for i := range views {
-			m.versions[i] = views[i].Version
-		}
-		for d := 0; d < 3; d++ {
-			parts := make([]*epm.Incremental, len(views))
-			for i := range views {
-				parts[i] = views[i].EPM[d]
+		for d, keys := range m.epmKeys {
+			if !epmDirty[d] {
+				continue
+			}
+			parts := make([]*epm.Incremental, len(keys))
+			for i, k := range keys {
+				parts[i] = k.eng
 			}
 			if m.epm[d], err = epm.Merge(parts); err != nil {
 				return
 			}
 		}
-		bparts := make([]*bcluster.Incremental, len(views))
-		for i := range views {
-			bparts[i] = views[i].B
+		if bDirty {
+			parts := make([]*bcluster.Incremental, len(m.bKeys))
+			for i, k := range m.bKeys {
+				parts[i] = k.eng
+			}
+			m.b, err = bcluster.Merge(parts)
 		}
-		m.b, err = bcluster.Merge(bparts)
 	}()
 	if err != nil {
 		// A merge can only fail on incompatible engines or a sample
@@ -93,13 +136,18 @@ func (c *Coordinator) merged() (*mergedState, error) {
 		// serving the previous snapshot and surface the error in Stats.
 		c.mergeErrors++
 		c.lastMergeErr = err.Error()
-		if c.view != nil {
-			return c.view, nil
+		if old != nil {
+			return old, nil
 		}
 		return nil, fmt.Errorf("shard: merging views: %w", err)
 	}
 
-	for d := 0; d < 3; d++ {
+	// Only a rebuilt dimension can hold a pattern without a stable ID,
+	// so minting visits the rebuilt ones, in dimension order.
+	for d := range m.epm {
+		if !epmDirty[d] {
+			continue
+		}
 		m.stableIDs[d] = make([]int, len(m.epm[d].Clusters))
 		for i := range m.epm[d].Clusters {
 			key := m.epm[d].Clusters[i].Pattern.Key()

@@ -82,7 +82,7 @@ func (s *Service) RestoreSnapshot(r io.Reader) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.applySeq != 0 || s.version != 0 {
+	if s.applySeq != 0 || s.restored {
 		return fmt.Errorf("stream: RestoreSnapshot on a non-fresh replica (applied seq %d)", s.applySeq)
 	}
 	if err := ckpt.DecodeSealed(r, s.restoreCheckpoint); err != nil {
@@ -91,7 +91,7 @@ func (s *Service) RestoreSnapshot(r io.Reader) error {
 		}
 		return err
 	}
-	s.version++
+	s.restored = true
 	return nil
 }
 

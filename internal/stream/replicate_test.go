@@ -198,6 +198,34 @@ func TestReplicaRefusesWritesAndGaps(t *testing.T) {
 	}
 }
 
+// TestRestoreSnapshotAtSeqZeroIsBootstrap checks the freshness check
+// past applySeq: a checkpoint taken before the primary's first record
+// restores at seq 0, and the replica must still refuse a second
+// bootstrap.
+func TestRestoreSnapshotAtSeqZeroIsBootstrap(t *testing.T) {
+	cfg := testConfig(8)
+	cfg.Durability = stream.Durability{Dir: t.TempDir(), NoSync: true}
+	primary := newTestService(t, cfg)
+	if err := primary.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join(cfg.Durability.Dir, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := stream.NewReplica(testConfig(8), fakeEnricher{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rep.Close)
+	if err := rep.RestoreSnapshot(bytes.NewReader(blob)); err != nil || rep.AppliedSeq() != 0 {
+		t.Fatalf("seq-0 snapshot: err %v, applied seq %d; want a replica at seq 0", err, rep.AppliedSeq())
+	}
+	if err := rep.RestoreSnapshot(bytes.NewReader(blob)); err == nil {
+		t.Fatal("a second RestoreSnapshot must error")
+	}
+}
+
 // TestRestoreSnapshotRejectsInvalidState feeds a replica checkpoints that
 // pass decoding but describe a state no service can be in. Each is
 // refused as corrupt, without a panic, and leaves the replica fresh for

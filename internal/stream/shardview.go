@@ -3,7 +3,7 @@ package stream
 // This file is the service's surface toward internal/shard: the
 // coordinator merges several services' incremental engines into global
 // clusterings, and needs a consistent, lock-scoped view of the live
-// state plus a cache key that identifies it.
+// state.
 
 import (
 	"repro/internal/bcluster"
@@ -19,9 +19,6 @@ type EngineView struct {
 	EPM [3]*epm.Incremental
 	// B is the incremental behavioral clusterer.
 	B *bcluster.Incremental
-	// Version identifies the state snapshot: it changes whenever an
-	// applied mutation changed any engine (see Service.Version).
-	Version uint64
 }
 
 // AcquireView read-locks the service and returns its engine view along
@@ -33,19 +30,9 @@ type EngineView struct {
 func (s *Service) AcquireView() (EngineView, func()) {
 	s.mu.RLock()
 	return EngineView{
-		EPM:     [3]*epm.Incremental{s.dims[0].eng, s.dims[1].eng, s.dims[2].eng},
-		B:       s.b,
-		Version: s.version,
+		EPM: [3]*epm.Incremental{s.dims[0].eng, s.dims[1].eng, s.dims[2].eng},
+		B:   s.b,
 	}, s.mu.RUnlock
-}
-
-// Version reports the state version: a counter that increments after
-// every applied mutation. Two equal versions bracket an unchanged
-// landscape state, which is what merged-view caches key off.
-func (s *Service) Version() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version
 }
 
 // SampleEventIDs lists the IDs of the events that referenced the

@@ -172,13 +172,11 @@ type Service struct {
 	ds   *dataset.Dataset
 	dims [3]*dimension
 	b    *bcluster.Incremental
-	// version increments at the end of every applied mutation (batch or
-	// flush), under mu. Unlike applySeq — which advances when a request
-	// is logged, before its effects land — a version observed together
-	// with the engines under the read lock identifies exactly that
-	// state, which is what lets the shard coordinator cache merged
-	// views.
-	version uint64
+	// restored marks a replica that RestoreSnapshot bootstrapped. With
+	// applySeq it is the bootstrap's freshness check: a replica applies
+	// records only at seq 1 and up, but a checkpoint the primary wrote
+	// before its first record restores at seq 0.
+	restored bool
 
 	applySeq uint64 // seq of the last applied (or logged) record
 
@@ -650,7 +648,6 @@ func (s *Service) applyBatch(client string, events []dataset.Event, depth int) {
 
 	s.mu.Lock()
 	s.applyExecResults(execList, outs)
-	s.version++
 	s.mu.Unlock()
 }
 
@@ -895,7 +892,6 @@ func (s *Service) applyFlush() {
 		s.b.DrainHeld()
 	}
 	s.flushes++
-	s.version++
 }
 
 // validateEvent screens an event for the invariants the EPM engine
