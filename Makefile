@@ -79,7 +79,8 @@ run-landscaped:
 	go run ./cmd/landscaped -small -addr 127.0.0.1:8844
 
 # End-to-end daemon smoke: in-process replay convergence gate, then an
-# HTTP round trip (serve → replay over HTTP → health + stats checks).
+# HTTP round trip (serve → replay over HTTP → health + stats checks,
+# including the one stats shape the default 1-shard daemon serves).
 # Mirrors the CI "Landscaped smoke" step.
 smoke-landscaped:
 	go run ./cmd/landscaped -replay -small
@@ -89,7 +90,8 @@ smoke-landscaped:
 	DPID=$$!; sleep 2; \
 	/tmp/landscaped-smoke -small -replay-to http://127.0.0.1:18901 -batch 200 && \
 	curl -sf http://127.0.0.1:18901/healthz && \
-	curl -sf http://127.0.0.1:18901/v1/stats | grep -q '"events": 705'; \
+	curl -sf http://127.0.0.1:18901/v1/stats | grep -q '"events": 705' && \
+	curl -sf http://127.0.0.1:18901/v1/stats | grep -q '"shards": 1,'; \
 	RC=$$?; kill -TERM $$DPID 2>/dev/null; wait $$DPID 2>/dev/null; \
 	rm -f /tmp/landscaped-smoke; exit $$RC
 
@@ -165,13 +167,14 @@ smoke-overload:
 	go test -count=1 -run TestOverloadSmoke -v ./internal/loadgen/
 
 # Sharding smoke: the race detector over the N-shard == 1-shard merged
-# view equivalence and the merged-view cache's differential test, a
+# view equivalence, the merged-view cache's differential test and the
+# 1-shard coordinator == bare service parity test, a
 # 4-shard in-process replay convergence gate, and
 # the loadgen flood through 1- and 4-shard daemons (merged-view
 # equivalence plus the >=2x aggregate-throughput bound, enforced where
 # the box has >=4 cores). Mirrors the CI "Shard smoke" step.
 smoke-shard:
-	go test -count=1 -race -run 'TestShardEquivalence|TestMergedViewCache' ./internal/shard/
+	go test -count=1 -race -run 'TestShardEquivalence|TestMergedViewCache|TestOneShardParity' ./internal/shard/
 	go run ./cmd/landscaped -replay -small -shards 4
 	go test -count=1 -run TestShardFloodSmoke -v ./internal/loadgen/
 

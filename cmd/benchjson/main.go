@@ -251,12 +251,11 @@ func (e *streamEnricher) ExecuteSample(s *dataset.Sample) (*behavior.Profile, bo
 }
 
 // measureStream replays the n-sample benchdata corpus through a fresh
-// deployment at the given shard count and returns the measured point
-// (the plain service at shards=1, a shard.Coordinator above). The
-// replay runs twice (a fresh deployment each time) and the faster run
-// is recorded: the first replay at the larger corpus sizes pays the OS
-// page-fault cost of growing the heap for the first time, which
-// measures the machine, not the service.
+// shard.Coordinator at the given shard count and returns the measured
+// point. The replay runs twice (a fresh deployment each time) and the
+// faster run is recorded: the first replay at the larger corpus sizes
+// pays the OS page-fault cost of growing the heap for the first time,
+// which measures the machine, not the service.
 func measureStream(label string, n, shards int) (StreamEntry, error) {
 	enricher := &streamEnricher{noise: benchdata.NoiseCounts(n)}
 	events := benchdata.StreamEvents(n)
@@ -265,45 +264,17 @@ func measureStream(label string, n, shards int) (StreamEntry, error) {
 	var st stream.Stats
 	var heap uint64
 	for rep := 0; rep < 2; rep++ {
-		var d time.Duration
-		var err error
 		base := liveHeap()
-		var live uint64
-		if shards <= 1 {
-			var svc *stream.Service
-			svc, err = stream.New(cfg, enricher)
-			if err != nil {
-				return StreamEntry{}, err
-			}
-			start := time.Now()
-			err = stream.Replay(context.Background(), svc, events, 256)
-			d = time.Since(start)
-			st = svc.Stats()
-			live = liveHeap()
-			svc.Close()
-		} else {
-			var c *shard.Coordinator
-			c, err = shard.New(shard.Config{Shards: shards, Stream: cfg}, enricher)
-			if err != nil {
-				return StreamEntry{}, err
-			}
-			ctx := context.Background()
-			start := time.Now()
-			for at := 0; at < len(events) && err == nil; at += 256 {
-				end := at + 256
-				if end > len(events) {
-					end = len(events)
-				}
-				err = c.Ingest(ctx, events[at:end])
-			}
-			if err == nil {
-				err = c.Flush(ctx)
-			}
-			d = time.Since(start)
-			st = c.Stats().Aggregate
-			live = liveHeap()
-			c.Close()
+		c, err := shard.New(shard.Config{Shards: shards, Stream: cfg}, enricher)
+		if err != nil {
+			return StreamEntry{}, err
 		}
+		start := time.Now()
+		err = replay(c, events)
+		d := time.Since(start)
+		st = c.Stats().Aggregate
+		live := liveHeap()
+		c.Close()
 		if err != nil {
 			return StreamEntry{}, err
 		}
@@ -337,6 +308,18 @@ func measureStream(label string, n, shards int) (StreamEntry, error) {
 	return e, nil
 }
 
+// replay feeds the corpus through the coordinator in 256-event batches
+// and flushes.
+func replay(c *shard.Coordinator, events []dataset.Event) error {
+	ctx := context.Background()
+	for at := 0; at < len(events); at += 256 {
+		if err := c.Ingest(ctx, events[at:min(at+256, len(events))]); err != nil {
+			return err
+		}
+	}
+	return c.Flush(ctx)
+}
+
 // liveHeap returns HeapAlloc after a forced collection: the bytes
 // reachable at the call.
 func liveHeap() uint64 {
@@ -365,21 +348,21 @@ func measureReadFanout(label string, n, replicas int) (StreamEntry, error) {
 	}
 	defer os.RemoveAll(dir)
 	cfg.Durability = stream.Durability{Dir: dir, NoSync: true}
-	svc, err := stream.New(cfg, enricher)
+	c, err := shard.New(shard.Config{Stream: cfg}, enricher)
 	if err != nil {
 		return StreamEntry{}, err
 	}
-	defer svc.Close()
-	if err := stream.Replay(context.Background(), svc, events, 256); err != nil {
+	defer c.Close()
+	if err := replay(c, events); err != nil {
 		return StreamEntry{}, err
 	}
-	srcDir, log := svc.ReplicationSource()
+	srcDir, log := c.Shard(0).ReplicationSource()
 	pub, err := replica.NewPublisher([]replica.Source{{Dir: srcDir, Log: log}})
 	if err != nil {
 		return StreamEntry{}, err
 	}
 	primarySrv := httptest.NewServer(httpapi.New(
-		func() httpapi.Backend { return svc },
+		func() httpapi.Backend { return c },
 		httpapi.Options{Repl: pub.Handler()}))
 	defer primarySrv.Close()
 

@@ -38,15 +38,18 @@
 // should slow down) or 503 (service saturated) with a Retry-After
 // header instead of blocking the connection.
 //
-// With -shards N (N >= 2) the landscape is partitioned horizontally:
-// N independent shard services — each with its own ingest queue, apply
+// The daemon always hosts a shard coordinator (internal/shard). With
+// -shards N (N >= 2) the landscape is partitioned horizontally: N
+// independent shard services — each with its own ingest queue, apply
 // worker, WAL subdirectory, and incremental engines — behind a
 // deterministic router (stable hash of the sample MD5), with queries
 // answered from exact merged global views (see DESIGN.md §12). The WAL
 // root then holds one shard-NNNN/ subdirectory per shard plus a
 // shards.json manifest pinning the shard count; reopening with a
-// different -shards fails closed. -shards 1 (the default) keeps the
-// single-service layout from earlier releases.
+// different -shards fails closed. At -shards 1 (the default) the
+// coordinator serves its one shard's own views, and the WAL root keeps
+// the flat single-service layout from earlier releases. /v1/stats has
+// one shape at every shard count: {shards, aggregate, per_shard}.
 //
 // With -repl (requires -wal-dir) the daemon is a replication primary:
 // it additionally serves the log-shipping endpoints under /v1/repl/ —
@@ -112,7 +115,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/enrich"
 	"repro/internal/faultfs"
 	"repro/internal/httpapi"
@@ -367,36 +369,9 @@ func verifyCheckpoints(dir string) (int, error) {
 	return n, nil
 }
 
-// backend is what the daemon hosts: the plain streaming service when
-// unsharded (keeping the single-service WAL layout from earlier
-// releases), the shard coordinator otherwise.
-type backend interface {
-	httpapi.Backend
-	Ingest(ctx context.Context, events []dataset.Event) error
-	Counts() (events, samples, executable, e, p, m, b int)
-	ScrubWAL() error
-	Close()
-}
-
 // newBackend builds the deployment around a shared enrichment pipeline
 // and reports how many WAL records recovery replayed.
-func newBackend(cfg stream.Config, shards int, pipe *enrich.Pipeline) (backend, int, error) {
-	if shards <= 1 {
-		if dir := cfg.Durability.Dir; dir != "" {
-			layout, err := shard.ReadLayout(dir)
-			if err != nil {
-				return nil, 0, err
-			}
-			if layout.Shards != 0 {
-				return nil, 0, fmt.Errorf("%s holds a %d-shard layout; reopen it with -shards %d", dir, layout.Shards, layout.Shards)
-			}
-		}
-		svc, err := stream.New(cfg, pipe)
-		if err != nil {
-			return nil, 0, err
-		}
-		return svc, svc.Stats().WAL.RecoveredRecords, nil
-	}
+func newBackend(cfg stream.Config, shards int, pipe *enrich.Pipeline) (*shard.Coordinator, int, error) {
 	c, err := shard.New(shard.Config{Shards: shards, Stream: cfg}, pipe)
 	if err != nil {
 		return nil, 0, err
@@ -408,24 +383,14 @@ func newBackend(cfg stream.Config, shards int, pipe *enrich.Pipeline) (backend, 
 	return c, recovered, nil
 }
 
-// newPublisher wraps the backend's live WALs in the log-shipping
+// newPublisher wraps the coordinator's live WALs in the log-shipping
 // publisher and flips the advertised role to primary.
-func newPublisher(b backend) (*replica.Publisher, error) {
-	var sources []replica.Source
-	switch v := b.(type) {
-	case *stream.Service:
-		dir, log := v.ReplicationSource()
-		sources = []replica.Source{{Dir: dir, Log: log}}
-		v.SetRole(stream.RolePrimary)
-	case *shard.Coordinator:
-		for i := 0; i < v.Shards(); i++ {
-			dir, log := v.Shard(i).ReplicationSource()
-			sources = append(sources, replica.Source{Dir: dir, Log: log})
-		}
-		v.SetRole(stream.RolePrimary)
-	default:
-		return nil, fmt.Errorf("unsupported backend %T for replication", b)
+func newPublisher(c *shard.Coordinator) (*replica.Publisher, error) {
+	sources := make([]replica.Source, c.Shards())
+	for i := range sources {
+		sources[i].Dir, sources[i].Log = c.Shard(i).ReplicationSource()
 	}
+	c.SetRole(stream.RolePrimary)
 	return replica.NewPublisher(sources)
 }
 
@@ -437,22 +402,16 @@ func newPublisher(b backend) (*replica.Publisher, error) {
 // durability is off — a restarted replica re-bootstraps, the primary
 // owns the log.
 func serveFollower(scenario core.Scenario, cfg stream.Config, o options) error {
-	var fp atomic.Value
-	load := func() *replica.Follower {
-		if v := fp.Load(); v != nil {
-			return v.(*replica.Follower)
-		}
-		return nil
-	}
+	var fp atomic.Pointer[replica.Follower]
 	server := &http.Server{
 		Handler: httpapi.New(func() httpapi.Backend {
-			if f := load(); f != nil {
+			if f := fp.Load(); f != nil {
 				return f
 			}
 			return nil
 		}, httpapi.Options{
 			Readiness: func() error {
-				if f := load(); f != nil {
+				if f := fp.Load(); f != nil {
 					return f.Ready()
 				}
 				return nil // the nil-backend gate already answered
@@ -511,7 +470,7 @@ func serveFollower(scenario core.Scenario, cfg stream.Config, o options) error {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		err := server.Shutdown(shutdownCtx)
-		if f := load(); f != nil {
+		if f := fp.Load(); f != nil {
 			f.Close()
 		}
 		return err
@@ -519,7 +478,7 @@ func serveFollower(scenario core.Scenario, cfg stream.Config, o options) error {
 
 	select {
 	case err := <-serveErr:
-		if f := load(); f != nil {
+		if f := fp.Load(); f != nil {
 			f.Close()
 		}
 		return err
@@ -530,7 +489,7 @@ func serveFollower(scenario core.Scenario, cfg stream.Config, o options) error {
 		}
 		select {
 		case err := <-serveErr:
-			if f := load(); f != nil {
+			if f := fp.Load(); f != nil {
 				f.Close()
 			}
 			return err
@@ -542,18 +501,6 @@ func serveFollower(scenario core.Scenario, cfg stream.Config, o options) error {
 	return shutdown()
 }
 
-// aggregateStats reduces either backend's stats to the shared
-// stream.Stats shape (the coordinator's aggregate).
-func aggregateStats(b backend) stream.Stats {
-	switch v := b.(type) {
-	case *stream.Service:
-		return v.Stats()
-	case *shard.Coordinator:
-		return v.Stats().Aggregate
-	}
-	return stream.Stats{}
-}
-
 // serve hosts the service until SIGINT/SIGTERM, then shuts down
 // gracefully: the listener closes first, in-flight requests get a
 // bounded drain, the service applies every queued batch, and — when
@@ -563,15 +510,9 @@ func aggregateStats(b backend) stream.Stats {
 // answer during a long recovery; every other endpoint returns 503
 // until the service is ready.
 func serve(scenario core.Scenario, cfg stream.Config, shards int, addr string, repl bool, scrubEvery time.Duration) error {
-	// atomic.Value over the concrete backend: the getter returns a nil
-	// interface until recovery finishes, never a typed-nil pointer.
-	var bp atomic.Value
-	load := func() backend {
-		if v := bp.Load(); v != nil {
-			return v.(backend)
-		}
-		return nil
-	}
+	// The getter returns a nil interface until recovery finishes, never
+	// a typed-nil pointer.
+	var bp atomic.Pointer[shard.Coordinator]
 	opts := httpapi.Options{}
 	// The shipping publisher exists only after recovery builds the
 	// backend (it wraps the live WALs), but the mux is built now — so
@@ -588,7 +529,7 @@ func serve(scenario core.Scenario, cfg stream.Config, shards int, addr string, r
 	}
 	server := &http.Server{
 		Handler: httpapi.New(func() httpapi.Backend {
-			if b := load(); b != nil {
+			if b := bp.Load(); b != nil {
 				return b
 			}
 			return nil
@@ -621,7 +562,7 @@ func serve(scenario core.Scenario, cfg stream.Config, shards int, addr string, r
 				case <-ctx.Done():
 					return
 				case <-t.C:
-					if b := load(); b != nil {
+					if b := bp.Load(); b != nil {
 						if err := b.ScrubWAL(); err != nil {
 							fmt.Fprintln(os.Stderr, "landscaped: wal scrub:", err)
 						}
@@ -665,7 +606,7 @@ func serve(scenario core.Scenario, cfg stream.Config, shards int, addr string, r
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		err := server.Shutdown(shutdownCtx)
-		if b := load(); b != nil {
+		if b := bp.Load(); b != nil {
 			if cfg.Durability.Dir != "" {
 				if cerr := b.Checkpoint(shutdownCtx); cerr != nil && err == nil {
 					err = fmt.Errorf("final checkpoint: %w", cerr)
@@ -678,7 +619,7 @@ func serve(scenario core.Scenario, cfg stream.Config, shards int, addr string, r
 
 	select {
 	case err := <-serveErr:
-		if b := load(); b != nil {
+		if b := bp.Load(); b != nil {
 			b.Close()
 		}
 		return err
@@ -690,7 +631,7 @@ func serve(scenario core.Scenario, cfg stream.Config, shards int, addr string, r
 		// Ready; keep serving until a signal or server failure.
 		select {
 		case err := <-serveErr:
-			if b := load(); b != nil {
+			if b := bp.Load(); b != nil {
 				b.Close()
 			}
 			return err
@@ -721,7 +662,7 @@ func replayInProcess(scenario core.Scenario, cfg stream.Config, shards, batch in
 // convergeStream replays the batch run's events into the backend and
 // asserts convergence. A mid-stream failure is reported as such — the
 // caller exits non-zero rather than printing a partial comparison.
-func convergeStream(b backend, res *core.Results, batch int) error {
+func convergeStream(b *shard.Coordinator, res *core.Results, batch int) error {
 	events := res.Dataset.Events()
 	if batch <= 0 {
 		batch = 64
@@ -748,7 +689,7 @@ func convergeStream(b backend, res *core.Results, batch int) error {
 		bEvents, bSamples, bExec, bE, bP, bM, bB)
 	fmt.Printf("stream: %6d events %5d samples %5d executable | E=%d P=%d M=%d B=%d\n",
 		gEvents, gSamples, gExec, gE, gP, gM, gB)
-	st := aggregateStats(b)
+	st := b.Stats().Aggregate
 	fmt.Printf("replay: %d batches of <=%d events in %v (%.0f events/s), %d epochs (e/p/m) + %d (b), max queue depth %d\n",
 		(bEvents+batch-1)/batch, batch, elapsed.Round(time.Millisecond),
 		float64(gEvents)/elapsed.Seconds(), st.Epsilon.Epoch+st.Pi.Epoch+st.Mu.Epoch, st.B.Epochs, st.MaxQueueDepth)
@@ -819,16 +760,11 @@ func replayOverHTTP(scenario core.Scenario, baseURL string, batch, offset, limit
 	if !verify {
 		return nil
 	}
-	// A sharded daemon serves shard.Stats (per-shard telemetry around the
-	// aggregate); an unsharded one serves stream.Stats directly. Decode
-	// the sharded shape first and fall back on the Shards marker.
-	var st stream.Stats
 	var sst shard.Stats
-	if err := json.Unmarshal(raw, &sst); err == nil && sst.Shards > 0 {
-		st = sst.Aggregate
-	} else if err := json.Unmarshal(raw, &st); err != nil {
+	if err := json.Unmarshal(raw, &sst); err != nil {
 		return fmt.Errorf("decoding daemon stats: %w", err)
 	}
+	st := sst.Aggregate
 	res, err := core.Run(scenario)
 	if err != nil {
 		return err

@@ -18,7 +18,7 @@ import (
 )
 
 // TestConvergeStreamFailsMidStream is the -replay exit-path regression:
-// a replay that dies mid-stream (service closed under it) must surface
+// a replay that dies mid-stream (coordinator closed under it) must surface
 // a clear error instead of a partial comparison, and an unclean replay
 // (quarantined samples) must fail the gate even when event counts look
 // plausible.
@@ -35,12 +35,12 @@ func TestConvergeStreamFailsMidStream(t *testing.T) {
 		Thresholds: core.SmallScenario().Thresholds,
 		BCluster:   core.SmallScenario().Enrichment.BCluster,
 	}
-	svc, err := stream.New(cfg, res.Pipeline)
+	c, err := shard.New(shard.Config{Stream: cfg}, res.Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Close() // the next Ingest fails -> mid-stream replay failure
-	err = convergeStream(svc, res, 97)
+	c.Close() // the next Ingest fails -> mid-stream replay failure
+	err = convergeStream(c, res, 97)
 	if err == nil || !strings.Contains(err.Error(), "mid-stream") {
 		t.Fatalf("convergeStream on a dead service: %v, want mid-stream failure", err)
 	}
@@ -48,12 +48,12 @@ func TestConvergeStreamFailsMidStream(t *testing.T) {
 	// Unclean replay: one sample permanently quarantined.
 	victim := res.Dataset.Samples()[0].MD5
 	faulty := enrich.NewFaulty(res.Pipeline, enrich.FaultConfig{Permanent: map[string]bool{victim: true}})
-	svc2, err := stream.New(cfg, faulty)
+	c2, err := shard.New(shard.Config{Stream: cfg}, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc2.Close()
-	err = convergeStream(svc2, res, 97)
+	defer c2.Close()
+	err = convergeStream(c2, res, 97)
 	if err == nil || !strings.Contains(err.Error(), "unclean replay") {
 		t.Fatalf("convergeStream with a quarantined sample: %v, want unclean-replay failure", err)
 	}

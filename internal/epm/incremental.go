@@ -180,14 +180,10 @@ func (inc *Incremental) Epochs() int       { return inc.epochs }
 func (inc *Incremental) DeltaEpochs() int  { return inc.deltaEpochs }
 func (inc *Incremental) FullRegroups() int { return inc.fullRegroups }
 
-// Instances exposes the instance log in arrival order. Callers must
-// treat it as read-only.
-func (inc *Incremental) Instances() []Instance { return inc.instances }
-
 // Epoch integrates the pending pool and materializes the clustering over
 // every instance added so far. The second return reports whether a
 // threshold crossing forced the full-regroup fallback. The result is
-// byte-identical to RunParallel over Instances().
+// byte-identical to RunParallel over every instance added.
 func (inc *Incremental) Epoch() (*Clustering, bool) {
 	delta := inc.instances[inc.ingested:]
 	crossed := inc.mergeSketches(delta)

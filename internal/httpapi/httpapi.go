@@ -31,11 +31,12 @@ const DefaultMaxBody = 64 << 20
 // client key, so unidentified submitters share per-IP buckets.
 const ClientIDHeader = "X-Client-ID"
 
-// Backend is the landscape the API serves: a single stream.Service or a
-// shard.Coordinator fanning out over several. Both return the same view
-// types, so the wire format does not depend on the deployment shape
-// (StatsPayload is the exception — the sharded stats add per-shard
-// telemetry around the same aggregate shape).
+// Backend is the landscape the API serves. The daemon always hosts a
+// shard.Coordinator, at every shard count, so /v1/stats has one shape;
+// a read replica serves a replica.Follower wrapped around one, and a
+// bare stream.Service still satisfies the interface for harnesses that
+// host a single service. Every back end returns the same view types, so
+// the view wire format does not depend on the deployment shape.
 type Backend interface {
 	IngestFrom(ctx context.Context, client string, events []dataset.Event) error
 	Flush(ctx context.Context) error

@@ -31,31 +31,16 @@ func newReplPrimary(t *testing.T, shards int) *replPrimary {
 	t.Helper()
 	cfg := shardFloodCfg()
 	cfg.Durability = stream.Durability{Dir: t.TempDir(), NoSync: true, SegmentBytes: 1 << 16}
-	p := &replPrimary{}
-	var sources []replica.Source
-	if shards == 1 {
-		svc, err := stream.New(cfg, synEnricher{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(svc.Close)
-		dir, log := svc.ReplicationSource()
-		sources = []replica.Source{{Dir: dir, Log: log}}
-		p.backend = svc
-	} else {
-		c, err := shard.New(shard.Config{Shards: shards, Stream: cfg}, synEnricher{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
-		for i := 0; i < c.Shards(); i++ {
-			dir, log := c.Shard(i).ReplicationSource()
-			sources = append(sources, replica.Source{Dir: dir, Log: log})
-		}
-		p.backend = c
+	c, err := shard.New(shard.Config{Shards: shards, Stream: cfg}, synEnricher{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range sources {
-		p.logs = append(p.logs, s.Log)
+	t.Cleanup(c.Close)
+	p := &replPrimary{backend: c}
+	sources := make([]replica.Source, shards)
+	for i := range sources {
+		sources[i].Dir, sources[i].Log = c.Shard(i).ReplicationSource()
+		p.logs = append(p.logs, sources[i].Log)
 	}
 	pub, err := replica.NewPublisher(sources)
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Machine types (COFF header). Only i386 is exercised by the corpus, which
@@ -309,16 +308,6 @@ func (img *Image) SectionNames() []string {
 		names = append(names, importSectionName)
 	}
 	return names
-}
-
-// ImportedDLLs returns the sorted list of imported DLL names.
-func (img *Image) ImportedDLLs() []string {
-	out := make([]string, 0, len(img.Imports))
-	for _, imp := range img.Imports {
-		out = append(out, imp.DLL)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Clone returns a deep copy of the image, so that polymorphic engines can

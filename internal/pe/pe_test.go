@@ -369,11 +369,6 @@ func TestImageAccessors(t *testing.T) {
 	if got := len(img.SectionNames()); got != 3 {
 		t.Errorf("SectionNames without imports = %d entries", got)
 	}
-	img = testImage()
-	dlls := img.ImportedDLLs()
-	if len(dlls) != 1 || dlls[0] != "KERNEL32.dll" {
-		t.Errorf("ImportedDLLs = %v", dlls)
-	}
 }
 
 func BenchmarkBuild(b *testing.B) {

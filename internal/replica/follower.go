@@ -42,34 +42,6 @@ type FollowerConfig struct {
 	Client *http.Client
 }
 
-// replState is one bootstrapped generation of replica services. A
-// re-bootstrap builds a whole new generation and swaps it in, so
-// queries never observe a half-rebuilt state.
-type replState struct {
-	svcs  []*stream.Service
-	coord *shard.Coordinator // nil at one shard: serve the bare service
-}
-
-// backend returns the query surface: the coordinator's merged views
-// when sharded, the single service otherwise (matching what a
-// single-shard primary serves, so views stay byte-identical).
-func (st *replState) backend() viewBackend {
-	if st.coord != nil {
-		return st.coord
-	}
-	return st.svcs[0]
-}
-
-// viewBackend is the read surface both stream.Service and
-// shard.Coordinator provide.
-type viewBackend interface {
-	EPMClusters(dim string) (stream.EPMView, error)
-	BClusters() stream.BView
-	Sample(id string) (stream.SampleView, bool)
-	StatsPayload() any
-	Counts() (events, samples, executable, e, p, m, b int)
-}
-
 // errRestart reports that the primary's shipping window moved past the
 // follower (segments garbage-collected, shard count changed): the only
 // recovery is a fresh bootstrap from the newest checkpoint.
@@ -84,8 +56,13 @@ type Follower struct {
 	cfg    FollowerConfig
 	client *http.Client
 
-	mu         sync.RWMutex
-	state      *replState
+	mu sync.RWMutex
+	// state is the current generation: a coordinator over one
+	// bootstrapped set of replica services, serving them as a primary's
+	// coordinator serves its own shards. A re-bootstrap builds a whole
+	// new generation and swaps it in, so queries never observe a
+	// half-rebuilt state.
+	state      *shard.Coordinator
 	applied    []uint64
 	target     []uint64
 	caughtUp   bool
@@ -184,14 +161,10 @@ func (f *Follower) bootstrapOnce(ctx context.Context) error {
 			return err
 		}
 	}
-	st := &replState{svcs: svcs}
-	if n > 1 {
-		coord, err := shard.NewReplicaSet(f.cfg.Stream, svcs)
-		if err != nil {
-			closeAll()
-			return err
-		}
-		st.coord = coord
+	st, err := shard.NewReplicaSet(svcs)
+	if err != nil {
+		closeAll()
+		return err
 	}
 	f.mu.Lock()
 	old := f.state
@@ -200,9 +173,7 @@ func (f *Follower) bootstrapOnce(ctx context.Context) error {
 	f.mu.Unlock()
 	f.noteProgress(man, st)
 	if old != nil {
-		for _, s := range old.svcs {
-			s.Close()
-		}
+		old.Close()
 	}
 	return nil
 }
@@ -245,11 +216,11 @@ func (f *Follower) poll(ctx context.Context) error {
 	f.mu.RLock()
 	st := f.state
 	f.mu.RUnlock()
-	if st == nil || len(man.PerShard) != len(st.svcs) {
+	if st == nil || len(man.PerShard) != st.Shards() {
 		return f.bootstrapOnce(ctx)
 	}
 	for i, sm := range man.PerShard {
-		if err := f.catchUp(ctx, st.svcs[i], sm); err != nil {
+		if err := f.catchUp(ctx, st.Shard(i), sm); err != nil {
 			if errors.Is(err, errRestart) {
 				return f.bootstrapOnce(ctx)
 			}
@@ -389,10 +360,10 @@ func (f *Follower) get(ctx context.Context, path string) (*http.Response, error)
 
 // noteProgress records the post-poll lag state: per-shard applied and
 // target seqs, and — when fully caught up — the staleness anchor.
-func (f *Follower) noteProgress(man Manifest, st *replState) {
-	applied := make([]uint64, len(st.svcs))
-	for i, s := range st.svcs {
-		applied[i] = s.AppliedSeq()
+func (f *Follower) noteProgress(man Manifest, st *shard.Coordinator) {
+	applied := make([]uint64, st.Shards())
+	for i := range applied {
+		applied[i] = st.Shard(i).AppliedSeq()
 	}
 	target := make([]uint64, len(man.PerShard))
 	caught := true
@@ -492,20 +463,14 @@ func (f *Follower) Close() {
 	f.state = nil
 	f.mu.Unlock()
 	if st != nil {
-		for _, s := range st.svcs {
-			s.Close()
-		}
+		st.Close()
 	}
 }
 
-func (f *Follower) backendNow() viewBackend {
+func (f *Follower) backendNow() *shard.Coordinator {
 	f.mu.RLock()
-	st := f.state
-	f.mu.RUnlock()
-	if st == nil {
-		return nil
-	}
-	return st.backend()
+	defer f.mu.RUnlock()
+	return f.state
 }
 
 // The httpapi.Backend surface. Reads delegate to the current
@@ -529,7 +494,7 @@ func (f *Follower) Flush(ctx context.Context) error { return stream.ErrReadOnly 
 // Checkpoint refuses: replicas are read-only.
 func (f *Follower) Checkpoint(ctx context.Context) error { return stream.ErrReadOnly }
 
-// EPMClusters serves the merged (or single-shard) EPM view.
+// EPMClusters serves the EPM view.
 func (f *Follower) EPMClusters(dim string) (stream.EPMView, error) {
 	b := f.backendNow()
 	if b == nil {
@@ -557,17 +522,18 @@ func (f *Follower) Sample(id string) (stream.SampleView, bool) {
 }
 
 // FollowerStats is the replica's /v1/stats payload: the replication
-// lag wrapped around the backend's usual stats shape.
+// lag wrapped around the coordinator's stats.
 type FollowerStats struct {
-	Replication Lag `json:"replication"`
-	Backend     any `json:"backend,omitempty"`
+	Replication Lag          `json:"replication"`
+	Backend     *shard.Stats `json:"backend,omitempty"`
 }
 
 // StatsPayload serves FollowerStats.
 func (f *Follower) StatsPayload() any {
 	out := FollowerStats{Replication: f.Lag()}
 	if b := f.backendNow(); b != nil {
-		out.Backend = b.StatsPayload()
+		st := b.Stats()
+		out.Backend = &st
 	}
 	return out
 }

@@ -255,28 +255,6 @@ func (f *FSM) Classify(msgs [][]byte) (string, bool) {
 	return fmt.Sprintf("%d:s%d", f.Port, cur.id), true
 }
 
-// States reports the number of FSM states.
-func (f *FSM) States() int { return f.states }
-
-// Edges reports the number of matured edges.
-func (f *FSM) Edges() int {
-	n := 0
-	var walk func(*state)
-	seen := map[int]bool{}
-	walk = func(s *state) {
-		if seen[s.id] {
-			return
-		}
-		seen[s.id] = true
-		n += len(s.edges)
-		for _, e := range s.edges {
-			walk(e.target)
-		}
-	}
-	walk(f.root)
-	return n
-}
-
 // Set is the per-port collection of FSMs a deployment shares through its
 // gateway.
 type Set struct {

@@ -189,8 +189,8 @@ func TestRareActivityNeverMatures(t *testing.T) {
 	r := simrng.New(8).Stream("rare")
 	f := NewFSM(5000, 3)
 	f.Learn(impl.Dialog(r, nil).ClientMessages())
-	if f.Edges() != 0 {
-		t.Errorf("edges = %d after a single observation, want 0", f.Edges())
+	if edges(f) != 0 {
+		t.Errorf("edges = %d after a single observation, want 0", edges(f))
 	}
 	if pendingBins(f) == 0 {
 		t.Error("a pending bin must exist")

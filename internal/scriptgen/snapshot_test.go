@@ -29,8 +29,27 @@ func pendingBins(f *FSM) int {
 func edgeCount(s *Set) int {
 	n := 0
 	for _, f := range s.perPort {
-		n += f.Edges()
+		n += edges(f)
 	}
+	return n
+}
+
+// edges reports the number of matured edges of one FSM.
+func edges(f *FSM) int {
+	n := 0
+	seen := map[int]bool{}
+	var walk func(*state)
+	walk = func(s *state) {
+		if seen[s.id] {
+			return
+		}
+		seen[s.id] = true
+		n += len(s.edges)
+		for _, e := range s.edges {
+			walk(e.target)
+		}
+	}
+	walk(f.root)
 	return n
 }
 

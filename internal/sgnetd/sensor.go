@@ -165,9 +165,6 @@ func (s *Sensor) Stats() SensorStats {
 	return s.stats
 }
 
-// ID returns the sensor identifier.
-func (s *Sensor) ID() string { return s.id }
-
 // Version returns the sensor's current FSM snapshot version.
 func (s *Sensor) Version() int { return s.ver }
 

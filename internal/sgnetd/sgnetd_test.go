@@ -49,8 +49,8 @@ func TestSensorHelloProvisioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.ID() != "sensor-0" {
-		t.Errorf("ID = %q", s.ID())
+	if s.id != "sensor-0" {
+		t.Errorf("id = %q", s.id)
 	}
 	if s.Version() != 0 {
 		t.Errorf("fresh gateway version = %d", s.Version())

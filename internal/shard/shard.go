@@ -3,6 +3,13 @@
 // incremental EPM engines, and incremental B-clusterer — fed by a
 // deterministic router and queried through merged global views.
 //
+// The Coordinator is the one back end every binary hosts, at any shard
+// count, and the one module that knows what a single shard means: at
+// one shard it keeps the flat single-service layout in the durability
+// root, leaves the per-client limiter on the shard, and serves the
+// shard's own views and counters, so a 1-shard deployment answers
+// exactly what a bare stream.Service would.
+//
 // The router is a pure function of the event's routing key (the sample
 // MD5 when the event carries one, the event ID otherwise), so the
 // sample→shard mapping is stable across restarts and independent of
@@ -71,15 +78,17 @@ func ShardOf(key string, shards int) int {
 type Config struct {
 	// Shards is the partition count; 0 selects 1.
 	Shards int
-	// Stream is the per-shard service template. Two fields are
-	// reinterpreted at the coordinator level: Durability.Dir, when set,
-	// becomes the deployment root (each shard persists under
+	// Stream is the per-shard service template. Above one shard two
+	// fields are reinterpreted at the coordinator level: Durability.Dir,
+	// when set, becomes the deployment root (each shard persists under
 	// shard-NNNN/ inside it, and a manifest pins the shard count), and
 	// the per-client rate-limit knobs (RatePerSec, Burst, MaxClients)
 	// move up into one shared ledger at the coordinator — a client's
 	// budget covers the whole deployment instead of multiplying by N.
 	// The remaining admission knobs (deadline, shedding, degraded mode)
-	// stay per shard, where the queues they protect live.
+	// stay per shard, where the queues they protect live. At one shard
+	// the template applies unchanged: the service persists in the root
+	// itself and keeps its own limiter.
 	Stream stream.Config
 }
 
@@ -96,18 +105,18 @@ const (
 	manifestVersion = 1
 )
 
-// Coordinator fans ingest out over the shards and serves merged views.
-// Construct with New, stop with Close.
+// Coordinator fans ingest out over the shards and serves merged views;
+// over a single shard it passes both straight through. Construct with
+// New (or NewReplicaSet), stop with Close.
 type Coordinator struct {
-	cfg    stream.Config
 	shards []*stream.Service
 
-	// limiter is the shared admission ledger (nil when rate limiting is
-	// off); its counters live in admMu.
+	// limiter is the shared per-client ledger above one shard (nil at
+	// one shard, where the shard's own limiter applies, and when rate
+	// limiting is off). rejectedBatches and rejectedEvents count its
+	// refusals only; everything else the shards count themselves.
 	limiter         *admission.Limiter
 	admMu           sync.Mutex
-	admittedBatches int
-	admittedEvents  int
 	rejectedBatches map[string]int
 	rejectedEvents  map[string]int
 
@@ -144,32 +153,25 @@ func New(cfg Config, enricher stream.Enricher) (*Coordinator, error) {
 		return nil, err
 	}
 
-	c := &Coordinator{
-		cfg:             scfg,
-		limiter:         admission.NewLimiter(scfg.Admission.RatePerSec, scfg.Admission.Burst, scfg.Admission.MaxClients, nil),
-		rejectedBatches: make(map[string]int),
-		rejectedEvents:  make(map[string]int),
-		role:            stream.RoleStandalone,
-		start:           time.Now(),
-	}
-	for d := range c.stable {
-		c.stable[d] = make(map[string]int)
-	}
-
+	c := newCoordinator(stream.RoleStandalone)
 	root := scfg.Durability.Dir
 	var dirs []string
 	if root != "" {
-		if err := ensureManifest(root, n); err != nil {
+		var err error
+		if dirs, err = openLayout(root, n); err != nil {
 			return nil, err
 		}
-		dirs = Layout{Shards: n}.Dirs(root)
 	}
-	// The shared ledger replaces the per-shard limiters; everything else
-	// in the admission config stays per shard, with decorrelated shedder
-	// seeds so the shards don't drop the same batches in lockstep.
-	scfg.Admission.RatePerSec = 0
-	scfg.Admission.Burst = 0
-	scfg.Admission.MaxClients = 0
+	if n > 1 {
+		// The shared ledger replaces the per-shard limiters; everything
+		// else in the admission config stays per shard, with decorrelated
+		// shedder seeds so the shards don't drop the same batches in
+		// lockstep.
+		c.limiter = admission.NewLimiter(scfg.Admission.RatePerSec, scfg.Admission.Burst, scfg.Admission.MaxClients, nil)
+		scfg.Admission.RatePerSec = 0
+		scfg.Admission.Burst = 0
+		scfg.Admission.MaxClients = 0
+	}
 	for i := 0; i < n; i++ {
 		sc := scfg
 		sc.Admission.Seed = scfg.Admission.Seed + uint64(i)
@@ -189,28 +191,31 @@ func New(cfg Config, enricher stream.Enricher) (*Coordinator, error) {
 }
 
 // NewReplicaSet wraps pre-built replica services in a read-only
-// coordinator serving the same merged views and stats as New — no
-// manifest (the on-disk layout is the primary's concern) and no shared
-// admission ledger (the services refuse writes themselves). The
-// follower (internal/replica) builds the services by replaying shipped
-// per-shard WALs and hands them over; it remains their owner and
-// closes them.
-func NewReplicaSet(scfg stream.Config, svcs []*stream.Service) (*Coordinator, error) {
+// coordinator serving the same views and stats as New — no manifest
+// (the on-disk layout is the primary's concern) and no shared admission
+// ledger (the services refuse writes themselves). The follower
+// (internal/replica) builds the services by replaying shipped per-shard
+// WALs and hands them over; Close closes them.
+func NewReplicaSet(svcs []*stream.Service) (*Coordinator, error) {
 	if len(svcs) < 1 || len(svcs) > MaxShards {
 		return nil, fmt.Errorf("shard: replica set size %d outside [1, %d]", len(svcs), MaxShards)
 	}
+	c := newCoordinator(stream.RoleReplica)
+	c.shards = append([]*stream.Service(nil), svcs...)
+	return c, nil
+}
+
+func newCoordinator(role string) *Coordinator {
 	c := &Coordinator{
-		cfg:             scfg,
-		shards:          append([]*stream.Service(nil), svcs...),
 		rejectedBatches: make(map[string]int),
 		rejectedEvents:  make(map[string]int),
-		role:            stream.RoleReplica,
+		role:            role,
 		start:           time.Now(),
 	}
 	for d := range c.stable {
 		c.stable[d] = make(map[string]int)
 	}
-	return c, nil
+	return c
 }
 
 // SetRole overrides the role label in the aggregate stats; the daemon
@@ -224,7 +229,7 @@ func (c *Coordinator) SetRole(role string) {
 // Layout is what a durability root holds.
 type Layout struct {
 	// Shards is the manifest's shard count; 0 means the root has no
-	// manifest (a single-service layout, or a fresh root).
+	// manifest (a flat 1-shard layout, or a fresh root).
 	Shards int
 	// flatState names a single-service state file (the checkpoint or a
 	// WAL segment) found directly in a root without a manifest, or "".
@@ -232,8 +237,9 @@ type Layout struct {
 }
 
 // ReadLayout reads a durability root's on-disk layout. It is the one
-// reader of that layout: the coordinator, the daemon's unsharded open
-// and its offline verifier all go through it. It refuses, fail-closed,
+// reader of that layout: New opens every root through it, and the
+// daemon's offline verifier (landscaped -wal-verify) walks the
+// directories it names. It refuses, fail-closed,
 // a manifest whose shard count is outside [1, MaxShards], shard
 // directories without a manifest, and single-service state next to a
 // manifest: each would otherwise open or verify an empty or misrouted
@@ -289,8 +295,8 @@ func ReadLayout(root string) (Layout, error) {
 }
 
 // Dirs returns the directories holding the service state under root:
-// root itself for a single-service layout, the shard directories in
-// shard order otherwise.
+// root itself for a flat layout, the shard directories in shard order
+// otherwise.
 func (l Layout) Dirs(root string) []string {
 	if l.Shards == 0 {
 		return []string{root}
@@ -302,43 +308,47 @@ func (l Layout) Dirs(root string) []string {
 	return dirs
 }
 
-// ensureManifest creates or verifies the root of an n-shard deployment.
-// A root that already holds service state — a manifest with a different
-// shard count, or a pre-sharding single-service layout — fails closed
-// with an actionable error.
-func ensureManifest(root string, n int) error {
+// openLayout opens the root of an n-shard deployment and returns the
+// directories the shards persist in. One shard keeps the flat
+// single-service layout in the root itself, with no manifest, unless
+// the root already holds a 1-shard manifest; above one shard a manifest
+// pins the count, written on first open. A root that already holds
+// service state — a manifest with another shard count, or flat state
+// under a sharded open — fails closed with an actionable error.
+func openLayout(root string, n int) ([]string, error) {
 	l, err := ReadLayout(root)
 	switch {
 	case err != nil:
-		return err
-	case l.Shards == n:
-		return nil
+		return nil, err
+	case l.Shards == n || l.Shards == 0 && n == 1:
+		return l.Dirs(root), nil
 	case l.Shards != 0:
-		return fmt.Errorf("shard: layout %s was written with -shards=%d; reopening with -shards=%d would misroute recovered samples (move the data aside or restore the original shard count)",
-			root, l.Shards, n)
+		return nil, fmt.Errorf("shard: layout %s was written with -shards=%d; reopening with -shards=%d would misroute recovered samples (reopen it with -shards %d, or move the data aside)",
+			root, l.Shards, n, l.Shards)
 	case l.flatState != "":
-		return fmt.Errorf("shard: %s holds a pre-sharding service layout (%s) with no shard manifest; refusing to shard over it (move the data aside or replay it through a sharded deployment)",
+		return nil, fmt.Errorf("shard: %s holds a pre-sharding service layout (%s) with no shard manifest; refusing to shard over it (move the data aside or replay it through a sharded deployment)",
 			root, l.flatState)
 	}
 	if err := os.MkdirAll(root, 0o755); err != nil {
-		return fmt.Errorf("shard: creating root %s: %w", root, err)
+		return nil, fmt.Errorf("shard: creating root %s: %w", root, err)
 	}
 	path := filepath.Join(root, manifestName)
 	tmp := path + ".tmp"
 	raw, _ := json.Marshal(manifest{Version: manifestVersion, Shards: n})
 	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return fmt.Errorf("shard: writing manifest: %w", err)
+		return nil, fmt.Errorf("shard: writing manifest: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("shard: publishing manifest: %w", err)
+		return nil, fmt.Errorf("shard: publishing manifest: %w", err)
 	}
-	return nil
+	return Layout{Shards: n}.Dirs(root), nil
 }
 
 // Shards reports the shard count.
 func (c *Coordinator) Shards() int { return len(c.shards) }
 
-// Shard exposes one underlying service (benchmarks and tests).
+// Shard exposes one underlying service, for what is per shard: its WAL
+// for log shipping, its recovery counters, a replica's apply path.
 func (c *Coordinator) Shard(i int) *stream.Service { return c.shards[i] }
 
 // Ingest routes one batch over the shards via the trusted loopback
@@ -347,24 +357,29 @@ func (c *Coordinator) Ingest(ctx context.Context, events []dataset.Event) error 
 	return c.IngestFrom(ctx, "", events)
 }
 
-// IngestFrom admits the batch against the shared per-client ledger,
-// routes every event to its shard, and enqueues the per-shard
-// sub-batches in shard order. Shard-level admission (deadline, shed,
-// queue backpressure) applies per sub-batch, so a saturated deployment
-// can accept part of a batch: the first shard error is returned, the
+// IngestFrom hands the batch to the shards under the client's identity,
+// so their provenance ledgers, WAL records and refusals carry it. At
+// one shard the shard admits the batch itself. Above one shard the
+// batch first passes the shared per-client ledger, then every event is
+// routed to its shard and the per-shard sub-batches are enqueued in
+// shard order. Shard-level admission (deadline, shed, queue
+// backpressure) applies per sub-batch, so a saturated deployment can
+// accept part of a batch: the first shard error is returned, the
 // remaining sub-batches are still attempted (at-least-once ingestion is
 // the service's delivery model — redelivering the whole batch is safe,
 // duplicates are screened per shard).
 func (c *Coordinator) IngestFrom(ctx context.Context, client string, events []dataset.Event) error {
-	if client != "" && c.limiter != nil {
+	if len(c.shards) == 1 {
+		return c.shards[0].IngestFrom(ctx, client, events)
+	}
+	if client != "" {
 		if rej := c.limiter.Admit(client, len(events)); rej != nil {
-			c.noteRejected(string(rej.Reason), len(events))
+			c.admMu.Lock()
+			c.rejectedBatches[string(rej.Reason)]++
+			c.rejectedEvents[string(rej.Reason)] += len(events)
+			c.admMu.Unlock()
 			return rej
 		}
-	}
-	c.noteAdmitted(len(events))
-	if len(c.shards) == 1 {
-		return c.shards[0].Ingest(ctx, events)
 	}
 	parts := make([][]dataset.Event, len(c.shards))
 	for i := range events {
@@ -376,25 +391,11 @@ func (c *Coordinator) IngestFrom(ctx context.Context, client string, events []da
 		if len(part) == 0 {
 			continue
 		}
-		if err := c.shards[si].Ingest(ctx, part); err != nil && firstErr == nil {
+		if err := c.shards[si].IngestFrom(ctx, client, part); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", si, err)
 		}
 	}
 	return firstErr
-}
-
-func (c *Coordinator) noteAdmitted(n int) {
-	c.admMu.Lock()
-	c.admittedBatches++
-	c.admittedEvents += n
-	c.admMu.Unlock()
-}
-
-func (c *Coordinator) noteRejected(reason string, n int) {
-	c.admMu.Lock()
-	c.rejectedBatches[reason]++
-	c.rejectedEvents[reason] += n
-	c.admMu.Unlock()
 }
 
 // Flush drains and epochs every shard; it returns once all shards are
@@ -437,8 +438,11 @@ func (c *Coordinator) ScrubWAL() error {
 }
 
 // fanout runs op on every shard concurrently and returns the first (by
-// shard order) error, wrapped with its shard index.
+// shard order) error, wrapped with its shard index above one shard.
 func (c *Coordinator) fanout(op func(*stream.Service) error) error {
+	if len(c.shards) == 1 {
+		return op(c.shards[0])
+	}
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
 	for i, s := range c.shards {

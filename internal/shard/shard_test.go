@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -243,9 +244,25 @@ func normEPMView(v stream.EPMView) stream.EPMView {
 	return v
 }
 
+// withoutStableIDs drops the stable IDs from a view, leaving its
+// clusters otherwise intact.
+func withoutStableIDs(v stream.EPMView) stream.EPMView {
+	v = normEPMView(v)
+	v.Clusters = slices.Clone(v.Clusters)
+	for i := range v.Clusters {
+		v.Clusters[i].StableID = 0
+	}
+	return v
+}
+
 // TestShardEquivalence is the tentpole correctness gate: the merged
 // E/P/M/B views of an N-shard deployment are byte-identical to the
 // 1-shard deployment for shards ∈ {1, 2, 4, 8} and any arrival order.
+// The one exception is the stable IDs: the 1-shard reference serves its
+// service's own, which carry that service's epoch history, while a
+// coordinator above one shard mints its own on its first merge. Queried
+// once after its feed, every such coordinator must mint StableID ==
+// EpochID.
 func TestShardEquivalence(t *testing.T) {
 	events := cleanCorpus(240)
 	shuffled := append([]dataset.Event(nil), events...)
@@ -278,7 +295,15 @@ func TestShardEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(normEPMView(v), normEPMView(refEPM[d])) {
+				if shards > 1 {
+					for _, cl := range v.Clusters {
+						if cl.StableID != cl.EpochID {
+							t.Fatalf("%s: first merged %s view minted stable ID %d for epoch cluster %d",
+								label, dim, cl.StableID, cl.EpochID)
+						}
+					}
+				}
+				if !reflect.DeepEqual(withoutStableIDs(v), withoutStableIDs(refEPM[d])) {
 					t.Fatalf("%s: merged %s view diverges from 1-shard:\ngot  %+v\nwant %+v",
 						label, dim, normEPMView(v), normEPMView(refEPM[d]))
 				}
@@ -548,5 +573,164 @@ func TestStatsPerShard(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("corpus had no samples")
+	}
+}
+
+// TestCoordinatorForwardsClient: above one shard every sub-batch reaches
+// its shard under the ingest client's identity, so the provenance ledger
+// the trust penalty reads attributes events and samples to the client
+// that delivered them, not to the loopback.
+func TestCoordinatorForwardsClient(t *testing.T) {
+	cfg := coordConfig(8, 2)
+	cfg.Stream.StatsClients = true
+	cfg.Stream.Defense = stream.Defense{TrustPenalty: 0.5}
+	c := newCoordinator(t, cfg)
+	ctx := context.Background()
+
+	events := cleanCorpus(60)
+	from := map[string]string{}
+	for i, client := range []string{"client-a", "client-b", ""} {
+		batch := events[i*20 : (i+1)*20]
+		if err := c.IngestFrom(ctx, client, batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range batch {
+			if _, ok := from[e.Sample.MD5]; !ok {
+				from[e.Sample.MD5] = client
+			}
+		}
+	}
+	if err := c.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, cs := range c.Stats().Aggregate.Clients {
+		got[cs.Client] = cs.Events
+	}
+	if want := map[string]int{"client-a": 20, "client-b": 20, "": 20}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("client ledger events %v, want %v", got, want)
+	}
+	for md5, client := range from {
+		if v, ok := c.Sample(md5); !ok || v.Client != client {
+			t.Fatalf("sample %s attributed to %q, want %q", md5, v.Client, client)
+		}
+	}
+}
+
+// gateEnricher stalls the apply worker of the shard that owns the gate
+// sample until release is closed, so that shard's queue fills and its
+// later sub-batches meet the admission deadline.
+type gateEnricher struct {
+	fakeEnricher
+	gate             string
+	entered, release chan struct{}
+}
+
+func (g gateEnricher) LabelSample(s *dataset.Sample) error {
+	if s.MD5 == g.gate {
+		close(g.entered)
+		<-g.release
+	}
+	return g.fakeEnricher.LabelSample(s)
+}
+
+// TestAdmissionLedgerCountsEachEventOnce: every offered event is either
+// admitted or rejected, never both, whether the coordinator's shared
+// ledger refuses a batch (rate limit) or a shard refuses its sub-batch
+// (deadline). At one shard the batch counts obey the same identity, and
+// a shard's refusal is charged to the client that sent the batch.
+func TestAdmissionLedgerCountsEachEventOnce(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ctx := context.Background()
+			events := cleanCorpus(120)
+			gate := events[0].Sample.MD5
+			k := shard.ShardOf(gate, shards)
+			enr := gateEnricher{gate: gate, entered: make(chan struct{}), release: make(chan struct{})}
+			cfg := coordConfig(8, shards)
+			cfg.Stream.QueueDepth = 1
+			cfg.Stream.StatsClients = true
+			cfg.Stream.Admission = admission.Config{RatePerSec: 0.001, Burst: 40, Deadline: 50 * time.Millisecond}
+			c, err := shard.New(cfg, enr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+
+			offered, calls := 0, 0
+			ingest := func(client string, batch []dataset.Event) error {
+				offered += len(batch)
+				calls++
+				return c.IngestFrom(ctx, client, batch)
+			}
+			// The gate sample parks shard k's worker; the next batch
+			// fills shard k's one-slot queue and drains everywhere else,
+			// so the third meets the deadline on shard k only.
+			if err := ingest("client-a", events[:1]); err != nil {
+				t.Fatal(err)
+			}
+			<-enr.entered
+			if err := ingest("client-a", events[1:11]); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < shards; i++ {
+				if i != k {
+					if err := c.Shard(i).Sync(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			err = ingest("client-a", events[11:21])
+			if rej, ok := admission.AsRejection(err); !ok || rej.Reason != admission.ReasonDeadline {
+				t.Fatalf("batch behind the parked shard: err = %v, want a deadline refusal", err)
+			}
+			close(enr.release)
+			if err := c.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// client-b's second batch overdraws its 40-event budget.
+			if err := ingest("client-b", events[21:51]); err != nil {
+				t.Fatal(err)
+			}
+			err = ingest("client-b", events[51:81])
+			if rej, ok := admission.AsRejection(err); !ok || rej.Reason != admission.ReasonRateLimit {
+				t.Fatalf("overdrawn batch: err = %v, want a rate-limit refusal", err)
+			}
+			if err := ingest("", events[81:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+
+			st := c.Stats().Aggregate
+			adm := st.Admission
+			rejected, rejectedBatches := 0, 0
+			for reason, n := range adm.RejectedEvents {
+				rejected += n
+				rejectedBatches += adm.RejectedBatches[reason]
+			}
+			if adm.AdmittedEvents+rejected != offered {
+				t.Fatalf("admitted %d + rejected %d events != %d offered: %+v", adm.AdmittedEvents, rejected, offered, adm)
+			}
+			if adm.RejectedEvents["deadline"] == 0 || adm.RejectedEvents["rate-limit"] != 30 {
+				t.Fatalf("refusals %v, want some deadline events and the 30 rate-limited ones", adm.RejectedEvents)
+			}
+			if st.Events != adm.AdmittedEvents {
+				t.Fatalf("applied %d events, admitted %d", st.Events, adm.AdmittedEvents)
+			}
+			if shards == 1 && adm.AdmittedBatches+rejectedBatches != calls {
+				t.Fatalf("admitted %d + rejected %d batches != %d offered", adm.AdmittedBatches, rejectedBatches, calls)
+			}
+			charged := -1
+			for _, cs := range st.Clients {
+				if cs.Client == "client-a" {
+					charged = cs.RejectedBatches
+				}
+			}
+			if charged != 1 {
+				t.Fatalf("client-a charged %d refusals, want the 1 deadline refusal (clients %+v)", charged, st.Clients)
+			}
+		})
 	}
 }

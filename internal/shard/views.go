@@ -1,19 +1,21 @@
 package shard
 
-// Merged global views. The coordinator merges the shards' incremental
-// engines on demand — epm.Merge for each EPM dimension, bcluster.Merge
-// over the behavioral clusterers — and caches each of the four merged
-// components under its own key: the per-shard engine state that
-// component's merge reads (see epmKey and bKey). A query rebuilds only
-// the components whose key moved and carries the rest over, so an
-// unchanged deployment serves from the cache without touching the
-// shards' engines, and a batch that crossed no EPM epoch re-merges at
-// most the B partition.
+// Merged global views. Above one shard the coordinator merges the
+// shards' incremental engines on demand — epm.Merge for each EPM
+// dimension, bcluster.Merge over the behavioral clusterers — and caches
+// each of the four merged components under its own key: the per-shard
+// engine state that component's merge reads (see epmKey and bKey). A
+// query rebuilds only the components whose key moved and carries the
+// rest over, so an unchanged deployment serves from the cache without
+// touching the shards' engines, and a batch that crossed no EPM epoch
+// re-merges at most the B partition. A single shard serves its own
+// views instead: a merge reads only epoch-integrated instances, so it
+// would drop the shard's provisional classifications between epochs
+// and mint stable IDs of its own.
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/bcluster"
@@ -65,12 +67,22 @@ type mergedState struct {
 	stableIDs [3][]int
 }
 
+// counters are the per-shard query counters a merged view reports
+// beside the merged clusters, summed under the same read locks the
+// snapshot is taken under, so the two are consistent.
+type counters struct {
+	epoch, pending    [3]int
+	bPending, bEpochs int
+	degraded          bool
+}
+
 // merged returns the current merged snapshot, rebuilding only the
-// components whose key moved. Lock order: viewMu first, then the
+// components whose key moved, and the shards' summed counters (valid
+// even when the merge fails). Lock order: viewMu first, then the
 // per-shard read locks in shard order — one merger at a time, and the
 // shards' apply workers only ever take their own lock, so the order
 // cannot cycle.
-func (c *Coordinator) merged() (*mergedState, error) {
+func (c *Coordinator) merged() (*mergedState, counters, error) {
 	c.viewMu.Lock()
 	defer c.viewMu.Unlock()
 
@@ -79,13 +91,19 @@ func (c *Coordinator) merged() (*mergedState, error) {
 	for d := range m.epmKeys {
 		m.epmKeys[d] = make([]epmKey, len(c.shards))
 	}
+	var live counters
 	for i, s := range c.shards {
 		var v stream.EngineView
 		v, releases[i] = s.AcquireView()
 		for d, eng := range v.EPM {
 			m.epmKeys[d][i] = epmKey{eng, eng.Epochs()}
+			live.epoch[d] += v.Epoch[d]
+			live.pending[d] += v.Pending[d]
 		}
 		m.bKeys[i] = bKey{v.B, v.B.Samples(), v.B.Epochs()}
+		live.bPending += v.B.Pending()
+		live.bEpochs += v.B.Epochs()
+		live.degraded = live.degraded || v.Degraded
 	}
 	release := func() {
 		for i := len(releases) - 1; i >= 0; i-- {
@@ -101,7 +119,7 @@ func (c *Coordinator) merged() (*mergedState, error) {
 	bDirty := old == nil || !slices.Equal(m.bKeys, old.bKeys)
 	if !bDirty && epmDirty == [3]bool{} {
 		release()
-		return old, nil
+		return old, live, nil
 	}
 	if old != nil {
 		m.epm, m.b, m.stableIDs = old.epm, old.b, old.stableIDs
@@ -137,9 +155,9 @@ func (c *Coordinator) merged() (*mergedState, error) {
 		c.mergeErrors++
 		c.lastMergeErr = err.Error()
 		if old != nil {
-			return old, nil
+			return old, live, nil
 		}
-		return nil, fmt.Errorf("shard: merging views: %w", err)
+		return nil, live, fmt.Errorf("shard: merging views: %w", err)
 	}
 
 	// Only a rebuilt dimension can hold a pattern without a stable ID,
@@ -161,7 +179,7 @@ func (c *Coordinator) merged() (*mergedState, error) {
 		}
 	}
 	c.view = m
-	return m, nil
+	return m, live, nil
 }
 
 // dimIndex resolves a dimension name the same way the stream service
@@ -178,30 +196,30 @@ func dimIndex(name string) (int, error) {
 	return 0, fmt.Errorf("stream: unknown dimension %q", name)
 }
 
-// EPMClusters snapshots the merged view of one EPM dimension. Cluster
-// sizes count epoch-integrated members (the merged engines' state);
-// instances still pending on their shard are reported in Pending, and
-// Epoch sums the per-shard epoch counters.
+// EPMClusters snapshots one EPM dimension: the shard's own view at one
+// shard, the merged view above. Merged cluster sizes count
+// epoch-integrated members (the merged engines' state); instances still
+// pending on their shard are reported in Pending, and Epoch sums the
+// per-shard epoch counters.
 func (c *Coordinator) EPMClusters(name string) (stream.EPMView, error) {
+	if len(c.shards) == 1 {
+		return c.shards[0].EPMClusters(name)
+	}
 	d, err := dimIndex(name)
 	if err != nil {
 		return stream.EPMView{}, err
 	}
-	m, err := c.merged()
+	m, live, err := c.merged()
 	if err != nil {
 		return stream.EPMView{}, err
 	}
-	view := stream.EPMView{Dimension: m.epm[d].Schema.Dimension}
-	for _, s := range c.shards {
-		sv, serr := s.EPMClusters(name)
-		if serr != nil {
-			return stream.EPMView{}, serr
-		}
-		view.Epoch += sv.Epoch
-		view.Pending += sv.Pending
-		view.Degraded = view.Degraded || sv.Degraded
+	view := stream.EPMView{
+		Dimension: m.epm[d].Schema.Dimension,
+		Epoch:     live.epoch[d],
+		Pending:   live.pending[d],
+		Degraded:  live.degraded,
+		Clusters:  make([]stream.EPMClusterView, len(m.epm[d].Clusters)),
 	}
-	view.Clusters = make([]stream.EPMClusterView, len(m.epm[d].Clusters))
 	for i := range m.epm[d].Clusters {
 		cl := &m.epm[d].Clusters[i]
 		view.Instances += len(cl.InstanceIDs)
@@ -217,18 +235,16 @@ func (c *Coordinator) EPMClusters(name string) (stream.EPMView, error) {
 	return view, nil
 }
 
-// BClusters snapshots the merged behavioral clustering. On a merge
-// failure with no prior snapshot it serves an empty view; the error
-// shows up in Stats.
+// BClusters snapshots the behavioral clustering: the shard's own view
+// at one shard, the merged view above. On a merge failure with no prior
+// snapshot it serves the counters with no clusters; the error shows up
+// in Stats.
 func (c *Coordinator) BClusters() stream.BView {
-	var view stream.BView
-	for _, s := range c.shards {
-		sv := s.BClusters()
-		view.Pending += sv.Pending
-		view.Epochs += sv.Epochs
-		view.Degraded = view.Degraded || sv.Degraded
+	if len(c.shards) == 1 {
+		return c.shards[0].BClusters()
 	}
-	m, err := c.merged()
+	m, live, err := c.merged()
+	view := stream.BView{Pending: live.bPending, Epochs: live.bEpochs, Degraded: live.degraded}
 	if err != nil {
 		return view
 	}
@@ -240,35 +256,36 @@ func (c *Coordinator) BClusters() stream.BView {
 	return view
 }
 
-// Sample queries one sample: the owning shard serves the per-sample
-// facts, and the B-membership and μ-cluster IDs are remapped through
-// the merged global views.
+// Sample queries one sample on the shard that owns it. Above one shard
+// the owner resolves the sample's B-cluster and μ-cluster IDs in the
+// merged global views.
 func (c *Coordinator) Sample(md5 string) (stream.SampleView, bool) {
 	owner := c.shards[ShardOf(md5, len(c.shards))]
-	v, ok := owner.Sample(md5)
-	if !ok {
-		return stream.SampleView{}, false
+	if len(c.shards) == 1 {
+		return owner.Sample(md5)
 	}
-	m, err := c.merged()
+	m, _, err := c.merged()
 	if err != nil {
-		return v, true
+		return owner.Sample(md5)
 	}
+	return owner.SampleIn(md5, m)
+}
+
+// BCluster resolves a sample's merged B-cluster (stream.Membership).
+func (m *mergedState) BCluster(md5 string) (rep string, size int) {
 	if i := m.b.ClusterOf(md5); i >= 0 {
-		v.BRepresentative = m.b.Clusters[i].Members[0]
-		v.BSize = m.b.Clusters[i].Size()
+		return m.b.Clusters[i].Members[0], m.b.Clusters[i].Size()
 	}
-	mSet := map[int]bool{}
-	for _, eid := range owner.SampleEventIDs(md5) {
-		if ci := m.epm[2].ClusterOf(eid); ci >= 0 {
-			mSet[m.stableIDs[2][ci]] = true
-		}
+	return "", 0
+}
+
+// MCluster resolves an event's stable merged μ-cluster ID
+// (stream.Membership).
+func (m *mergedState) MCluster(eventID string) (int, bool) {
+	if ci := m.epm[2].ClusterOf(eventID); ci >= 0 {
+		return m.stableIDs[2][ci], true
 	}
-	v.MClusters = make([]int, 0, len(mSet))
-	for sid := range mSet {
-		v.MClusters = append(v.MClusters, sid)
-	}
-	sort.Ints(v.MClusters)
-	return v, true
+	return 0, false
 }
 
 // ShardStats is the per-shard telemetry slice of Stats.
@@ -289,9 +306,12 @@ type ShardStats struct {
 	ReadOnly bool `json:"read_only,omitempty"`
 }
 
-// Stats is the deployment-wide snapshot: the aggregate in the familiar
-// stream.Stats shape (counters summed, cluster counts from the merged
-// views, shared-ledger admission), plus the per-shard telemetry.
+// Stats is the deployment-wide snapshot, in one shape at every shard
+// count: the aggregate in the stream.Stats shape plus the per-shard
+// telemetry. At one shard the aggregate is the shard's own Stats. Above
+// one shard its counters are summed, its cluster counts come from the
+// merged views, and its admission ledger adds the shared ledger's
+// rate-limit refusals to the shards' own counts.
 type Stats struct {
 	Shards         int          `json:"shards"`
 	MergeErrors    int          `json:"merge_errors,omitempty"`
@@ -303,15 +323,10 @@ type Stats struct {
 // Stats snapshots the deployment.
 func (c *Coordinator) Stats() Stats {
 	per := make([]stream.Stats, len(c.shards))
-	for i, s := range c.shards {
-		per[i] = s.Stats()
-	}
-
 	out := Stats{Shards: len(c.shards), PerShard: make([]ShardStats, len(c.shards))}
-	agg := &out.Aggregate
-	agg.RejectedByReason = map[string]int{}
-	var clientParts [][]stream.ClientStat
-	for i, st := range per {
+	for i, s := range c.shards {
+		st := s.Stats()
+		per[i] = st
 		out.PerShard[i] = ShardStats{
 			Shard:         i,
 			Events:        st.Events,
@@ -327,6 +342,23 @@ func (c *Coordinator) Stats() Stats {
 			Fatal:         st.Fatal,
 			ReadOnly:      st.Storage.ReadOnly,
 		}
+	}
+	c.admMu.Lock()
+	role := c.role
+	c.admMu.Unlock()
+	if len(per) == 1 {
+		out.Aggregate = per[0]
+		out.Aggregate.Role = role
+		return out
+	}
+
+	agg := &out.Aggregate
+	agg.Role = role
+	agg.UptimeMS = time.Since(c.start).Milliseconds()
+	agg.RejectedByReason = map[string]int{}
+	var clientParts [][]stream.ClientStat
+	for _, st := range per {
+		agg.Replicated += st.Replicated
 		agg.Events += st.Events
 		agg.Rejected += st.Rejected
 		for k, v := range st.RejectedByReason {
@@ -408,18 +440,9 @@ func (c *Coordinator) Stats() Stats {
 		agg.RejectedByReason = nil
 	}
 
-	// Shared-ledger admission: the coordinator counts whole-deployment
-	// batch admissions and rate-limit rejections; the per-shard ledgers
-	// contribute shed/deadline/queue-full refusals, summed above.
+	// The shared ledger's rate-limit refusals never reached a shard, so
+	// they add to the refusals the shards counted themselves.
 	c.admMu.Lock()
-	agg.Role = c.role
-	agg.UptimeMS = time.Since(c.start).Milliseconds()
-	agg.Replicated = 0
-	for _, st := range per {
-		agg.Replicated += st.Replicated
-	}
-	agg.Admission.AdmittedBatches = c.admittedBatches
-	agg.Admission.AdmittedEvents = c.admittedEvents
 	for k, v := range c.rejectedBatches {
 		if agg.Admission.RejectedBatches == nil {
 			agg.Admission.RejectedBatches = map[string]int{}
@@ -441,7 +464,7 @@ func (c *Coordinator) Stats() Stats {
 	// Cluster counts come from the merged views, not per-shard sums — a
 	// cross-shard link or an aggregate-only invariant crossing changes
 	// them.
-	m, err := c.merged()
+	m, _, err := c.merged()
 	c.viewMu.Lock()
 	out.MergeErrors = c.mergeErrors
 	out.LastMergeError = c.lastMergeErr
@@ -469,11 +492,12 @@ func sumDim(a, b stream.DimStats) stream.DimStats {
 	return a
 }
 
-// sumAdmission folds one shard's admission ledger into the aggregate.
-// AdmittedBatches/Events and the rate-limit fields are overwritten from
-// the coordinator's shared ledger afterwards.
+// sumAdmission folds one shard's admission ledger into the aggregate;
+// the shared ledger's rate-limit fields are added afterwards.
 func sumAdmission(a, b stream.AdmissionStats) stream.AdmissionStats {
 	a.Enabled = a.Enabled || b.Enabled
+	a.AdmittedBatches += b.AdmittedBatches
+	a.AdmittedEvents += b.AdmittedEvents
 	for k, v := range b.RejectedBatches {
 		if a.RejectedBatches == nil {
 			a.RejectedBatches = map[string]int{}
@@ -506,16 +530,19 @@ func maxf(a, b float64) float64 {
 // StatsPayload adapts Stats to the httpapi backend interface.
 func (c *Coordinator) StatsPayload() any { return c.Stats() }
 
-// Counts mirrors stream.Service.Counts over the merged views, for
+// Counts mirrors stream.Service.Counts over the served views, for
 // convergence verification.
 func (c *Coordinator) Counts() (events, samples, executable, e, p, m, b int) {
+	if len(c.shards) == 1 {
+		return c.shards[0].Counts()
+	}
 	for _, s := range c.shards {
 		ev, sm, ex, _, _, _, _ := s.Counts()
 		events += ev
 		samples += sm
 		executable += ex
 	}
-	ms, err := c.merged()
+	ms, _, err := c.merged()
 	if err != nil {
 		return events, samples, executable, 0, 0, 0, 0
 	}
@@ -523,23 +550,30 @@ func (c *Coordinator) Counts() (events, samples, executable, e, p, m, b int) {
 		len(ms.epm[0].Clusters), len(ms.epm[1].Clusters), len(ms.epm[2].Clusters), len(ms.b.Clusters)
 }
 
-// EPMClustering exposes the merged clustering of one dimension for
-// equivalence tests and reporting.
+// EPMClustering exposes the served clustering of one dimension for
+// equivalence tests and reporting: the shard's own at one shard (nil
+// before its first epoch), the merged one above.
 func (c *Coordinator) EPMClustering(name string) (*epm.Clustering, error) {
+	if len(c.shards) == 1 {
+		return c.shards[0].EPMClustering(name)
+	}
 	d, err := dimIndex(name)
 	if err != nil {
 		return nil, err
 	}
-	m, err := c.merged()
+	m, _, err := c.merged()
 	if err != nil {
 		return nil, err
 	}
 	return m.epm[d], nil
 }
 
-// BResult exposes the merged behavioral partition.
+// BResult exposes the served behavioral partition.
 func (c *Coordinator) BResult() (*bcluster.Result, error) {
-	m, err := c.merged()
+	if len(c.shards) == 1 {
+		return c.shards[0].BResult(), nil
+	}
+	m, _, err := c.merged()
 	if err != nil {
 		return nil, err
 	}

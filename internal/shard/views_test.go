@@ -246,3 +246,30 @@ func TestMergedViewCache(t *testing.T) {
 		t.Error("no repeat delivery amended a parked sample")
 	}
 }
+
+// TestMergedQueryAllocations bounds what a query above one shard
+// allocates once the merged views are cached. The counters a merged
+// view reports beside its clusters come from the read locks merged()
+// already takes, and the owner of a queried sample resolves its B- and
+// μ-memberships in the merged views, so no shard assembles a view or a
+// partition of its own for the coordinator to read a few fields from.
+func TestMergedQueryAllocations(t *testing.T) {
+	c := newCoordinator(t, coordConfig(8, 4))
+	var events []dataset.Event
+	for i := 0; i < 800; i++ {
+		events = append(events, testEvent(i, fmt.Sprintf("v%d", i%50)))
+	}
+	feed(t, c, events, 50)
+	md5 := events[0].Sample.MD5
+	if _, err := c.EPMClusters("mu"); err != nil {
+		t.Fatal(err)
+	}
+	epmAllocs := testing.AllocsPerRun(20, func() { c.EPMClusters("mu") })
+	bAllocs := testing.AllocsPerRun(20, func() { c.BClusters() })
+	sampleAllocs := testing.AllocsPerRun(20, func() { c.Sample(md5) })
+	t.Logf("allocations per query at 4 shards, 200 samples: EPMClusters %.0f, BClusters %.0f, Sample %.0f",
+		epmAllocs, bAllocs, sampleAllocs)
+	if sampleAllocs > 20 {
+		t.Fatalf("Sample allocates %.0f times per query, want at most 20", sampleAllocs)
+	}
+}

@@ -23,11 +23,6 @@ func New(seed uint64) *Source {
 	return &Source{seed: seed}
 }
 
-// Seed reports the root seed of the source.
-func (s *Source) Seed() uint64 {
-	return s.seed
-}
-
 // Child returns a Source whose streams are independent from the parent's
 // and from any sibling's. It is used to give each subsystem its own
 // namespace.

@@ -163,7 +163,7 @@ func TestSplitmix64NotIdentity(t *testing.T) {
 }
 
 func TestSourceSeed(t *testing.T) {
-	if got := New(42).Seed(); got != 42 {
-		t.Errorf("Seed = %d, want 42", got)
+	if got := New(42).seed; got != 42 {
+		t.Errorf("seed = %d, want 42", got)
 	}
 }

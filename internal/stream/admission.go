@@ -90,7 +90,10 @@ func (s *Service) observePressure(wait time.Duration) {
 // invariant the stress and overload harnesses assert: for every
 // non-empty IngestFrom call that was not cut short by the caller's own
 // context or Close, AdmittedBatches + sum(RejectedBatches) grows by
-// exactly one (and the *Events fields by the batch size).
+// exactly one (and the *Events fields by the batch size). A shard
+// coordinator's aggregate sums its shards' ledgers, so above one shard
+// a batch that passes the shared rate limit is counted once for each
+// shard it was split over; the *Events identity still holds.
 type AdmissionStats struct {
 	// Enabled reports whether any overload-protection knob is on.
 	Enabled bool `json:"enabled"`

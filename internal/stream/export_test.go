@@ -1,13 +1,35 @@
 package stream
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"slices"
 
 	"repro/internal/bcluster"
+	"repro/internal/dataset"
 )
+
+// Replay feeds a recorded event sequence through the service in batches
+// of batchSize and flushes, leaving the service in the state a batch
+// pipeline run over the same events would produce.
+func Replay(ctx context.Context, svc *Service, events []dataset.Event, batchSize int) error {
+	for start := 0; start < len(events); start += batchSize {
+		if err := svc.Ingest(ctx, events[start:min(start+batchSize, len(events))]); err != nil {
+			return fmt.Errorf("stream: replay batch at event %d: %w", start, err)
+		}
+	}
+	return svc.Flush(ctx)
+}
+
+// Quarantined snapshots the quarantined samples: MD5 -> final error.
+func (s *Service) Quarantined() map[string]string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return maps.Clone(s.quarantined)
+}
 
 // MarshalCheckpoint is the checkpoint writer before it streamed, kept
 // as the oracle the codec tests hold the streamed file to: the whole

@@ -139,14 +139,6 @@ func (s *Service) AppliedSeq() uint64 {
 	return s.applySeq
 }
 
-// SetRole overrides the role label surfaced in Stats; the daemon marks
-// a service "primary" when it publishes its WAL to followers.
-func (s *Service) SetRole(role string) {
-	s.mu.Lock()
-	s.role = role
-	s.mu.Unlock()
-}
-
 // ReplicationSource exposes the durability artifacts log shipping
 // serves: the directory holding the checkpoint file and the WAL. The
 // log is nil on a memory-only service — there is nothing to ship.

@@ -19,6 +19,11 @@ type EngineView struct {
 	EPM [3]*epm.Incremental
 	// B is the incremental behavioral clusterer.
 	B *bcluster.Incremental
+	// Epoch and Pending are the ε/π/μ epoch counters and pending-pool
+	// sizes, and Degraded the pressure flag, as EPMClusters reports
+	// them, read under the same lock as the engines.
+	Epoch, Pending [3]int
+	Degraded       bool
 }
 
 // AcquireView read-locks the service and returns its engine view along
@@ -29,28 +34,22 @@ type EngineView struct {
 // multi-shard snapshot.
 func (s *Service) AcquireView() (EngineView, func()) {
 	s.mu.RLock()
-	return EngineView{
-		EPM: [3]*epm.Incremental{s.dims[0].eng, s.dims[1].eng, s.dims[2].eng},
-		B:   s.b,
-	}, s.mu.RUnlock
+	v := EngineView{B: s.b, Degraded: s.degradedMode}
+	for i, d := range s.dims {
+		v.EPM[i], v.Epoch[i], v.Pending[i] = d.eng, d.epoch, d.pendingCount
+	}
+	return v, s.mu.RUnlock
 }
 
-// SampleEventIDs lists the IDs of the events that referenced the
-// sample, in arrival order; nil for an unknown sample. The coordinator
-// uses it to remap a sample's μ-cluster memberships through the merged
-// clustering.
-func (s *Service) SampleEventIDs(md5 string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	evs := s.ds.EventsOfSample(md5)
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]string, len(evs))
-	for i := range evs {
-		out[i] = evs[i].ID
-	}
-	return out
+// Membership resolves the cluster memberships a sample view reports in
+// views other than the service's own: a coordinator above one shard
+// passes its merged global views to SampleIn.
+type Membership interface {
+	// BCluster returns the representative and size of the B-cluster
+	// holding md5; size 0 when none does.
+	BCluster(md5 string) (rep string, size int)
+	// MCluster returns the stable μ-cluster ID of an event.
+	MCluster(eventID string) (int, bool)
 }
 
 // StatsPayload adapts Stats to the httpapi backend interface, which

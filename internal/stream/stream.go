@@ -255,10 +255,10 @@ type Service struct {
 	scrubCorrupt     []string
 	scrubLastErr     string
 
-	// Replication. replica is immutable after construction (NewReplica
-	// sets it before the service is shared), so the write-path guards
-	// read it without locks; role and the applied-record counter are
-	// guarded by mu.
+	// Replication. replica and role are immutable after construction
+	// (NewReplica sets them before the service is shared), so the
+	// write-path guards read them without locks; the applied-record
+	// counter is guarded by mu.
 	replica    bool
 	role       string
 	start      time.Time
@@ -1225,6 +1225,13 @@ type SampleView struct {
 
 // Sample queries one sample by MD5.
 func (s *Service) Sample(md5 string) (SampleView, bool) {
+	return s.SampleIn(md5, nil)
+}
+
+// SampleIn is Sample with the sample's B-cluster and μ-cluster IDs
+// resolved in views instead of the service's own state (when views is
+// non-nil); the per-sample facts always come from this service.
+func (s *Service) SampleIn(md5 string, views Membership) (SampleView, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	smp := s.ds.Sample(md5)
@@ -1240,10 +1247,14 @@ func (s *Service) Sample(md5 string) (SampleView, bool) {
 		ProfileFeatures: len(smp.Profile),
 	}
 	if s.b.Has(md5) {
-		res := s.b.Result()
-		if i := res.ClusterOf(md5); i >= 0 {
-			v.BRepresentative = res.Clusters[i].Members[0]
-			v.BSize = res.Clusters[i].Size()
+		if views != nil {
+			v.BRepresentative, v.BSize = views.BCluster(md5)
+		} else {
+			res := s.b.Result()
+			if i := res.ClusterOf(md5); i >= 0 {
+				v.BRepresentative = res.Clusters[i].Members[0]
+				v.BSize = res.Clusters[i].Size()
+			}
 		}
 		v.BPending = s.b.Pending() > 0 && v.BSize == 1
 		if s.defended() {
@@ -1257,7 +1268,14 @@ func (s *Service) Sample(md5 string) (SampleView, bool) {
 	}
 	mSet := map[int]bool{}
 	for _, e := range s.ds.EventsOfSample(md5) {
-		if sid, ok := s.dims[2].assignOf(e.ID); ok {
+		var sid int
+		var ok bool
+		if views != nil {
+			sid, ok = views.MCluster(e.ID)
+		} else {
+			sid, ok = s.dims[2].assignOf(e.ID)
+		}
+		if ok {
 			mSet[sid] = true
 		}
 	}
@@ -1430,17 +1448,6 @@ func (s *Service) Stats() Stats {
 			Links:          bs.Links,
 		},
 	}
-}
-
-// Quarantined snapshots the quarantined samples: MD5 -> final error.
-func (s *Service) Quarantined() map[string]string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]string, len(s.quarantined))
-	for k, v := range s.quarantined {
-		out[k] = v
-	}
-	return out
 }
 
 // Counts mirrors core.Results.Counts for convergence checks: events,

@@ -74,8 +74,14 @@ var stdlibMethods = []string{
 //     package-level var or const initializer;
 //   - pkg.F resolves through the file's imports, and a bare F within its
 //     own package;
-//   - x.M reaches every method named M, so a method an interface call
-//     could reach is never reported.
+//   - a call x.M(...) reaches every method named M, so a method an
+//     interface call could reach is never reported;
+//   - a selector x.M that is not called (a method value, or a field
+//     read) reaches them too, but only when no struct field in the
+//     program is named M: a field read must not keep a method alive.
+//
+// Methods that share a name with a called method of another type still
+// hide each other; see TestReachIgnoresFieldReads for the field case.
 func TestEveryExportedFunctionIsReached(t *testing.T) {
 	prog := loadProgram(t, ".", "repro")
 	reached := prog.reach()
@@ -111,6 +117,22 @@ func TestEveryExportedFunctionIsReached(t *testing.T) {
 	}
 }
 
+// TestReachIgnoresFieldReads runs the walk over a fixture whose binary
+// reads a struct field that shares its name with a method nothing
+// calls: the field read must leave the method unreached.
+func TestReachIgnoresFieldReads(t *testing.T) {
+	reached := loadProgram(t, "testdata/reach", "fixture").reach()
+	if !reached["fixture/lib.Run"] {
+		t.Fatal("the fixture's main does not reach lib.Run; the walk is broken")
+	}
+	if reached["fixture/lib.Counter.Count"] {
+		t.Error("a read of the field Stats.Count reached the method Counter.Count")
+	}
+	if !reached["fixture/lib.Counter.Reset"] {
+		t.Error("the method value c.Reset did not reach Counter.Reset")
+	}
+}
+
 // program is the parsed non-test source of the module and bench/.
 type program struct {
 	pkgs     map[string]bool      // import paths of the parsed packages
@@ -118,6 +140,7 @@ type program struct {
 	funcs    map[string]*funcDecl // by import path + "." + [receiver type + "."] + name
 	names    map[string]bool      // the funcDecl names, as keptUnreached spells them
 	methods  map[string][]string  // method name -> keys
+	fields   map[string]bool      // names of the struct fields
 	roots    []code               // main and init bodies, package-level initializers
 }
 
@@ -149,6 +172,7 @@ func loadProgram(t *testing.T, root, modPath string) *program {
 		funcs:    map[string]*funcDecl{},
 		names:    map[string]bool{},
 		methods:  map[string][]string{},
+		fields:   map[string]bool{},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -164,7 +188,21 @@ func loadProgram(t *testing.T, root, modPath string) *program {
 		if err != nil {
 			return err
 		}
-		sf := &srcFile{pkg: path.Join(modPath, filepath.ToSlash(filepath.Dir(p))), imports: map[string]string{}}
+		rel, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		sf := &srcFile{pkg: path.Join(modPath, filepath.ToSlash(rel)), imports: map[string]string{}}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						prog.fields[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
 		prog.pkgs[sf.pkg] = true
 		for _, imp := range f.Imports {
 			ip, _ := strconv.Unquote(imp.Path.Value)
@@ -250,16 +288,33 @@ func (prog *program) reach() map[string]bool {
 			}
 		}
 	}
+	// pkgRef reports whether sel names a package-level declaration of
+	// an imported package.
+	pkgRef := func(sel *ast.SelectorExpr, sf *srcFile) bool {
+		id, ok := sel.X.(*ast.Ident)
+		return ok && id.Obj == nil && sf.imports[id.Name] != ""
+	}
 	var walk func(n ast.Node, sf *srcFile)
 	walk = func(n ast.Node, sf *srcFile) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok && id.Obj == nil && sf.imports[id.Name] != "" {
-					markKey(sf.imports[id.Name] + "." + x.Sel.Name)
+			case *ast.CallExpr:
+				if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && !pkgRef(sel, sf) {
+					markMethod(sel.Sel.Name)
+					walk(sel.X, sf)
+					for _, arg := range x.Args {
+						walk(arg, sf)
+					}
 					return false
 				}
-				markMethod(x.Sel.Name)
+			case *ast.SelectorExpr:
+				if pkgRef(x, sf) {
+					markKey(sf.imports[x.X.(*ast.Ident).Name] + "." + x.Sel.Name)
+					return false
+				}
+				if !prog.fields[x.Sel.Name] {
+					markMethod(x.Sel.Name)
+				}
 				walk(x.X, sf)
 				return false
 			case *ast.Ident:
