@@ -48,9 +48,11 @@ bench-json:
 	$(if $(LABEL),,$(error bench-json needs a campaign label, e.g. make bench-json LABEL=post-pr9))
 	go run ./cmd/benchjson -label $(LABEL) -o BENCH_bcluster.json -stream-o BENCH_stream.json -poison-o BENCH_poison.json
 
-# Superlinearity canary: replay the n=1k and n=10k stream corpora and
-# fail if ns/event grows more than 1.5x across the decade. Writes no
-# files. Mirrors the CI "Bench guard" step.
+# Superlinearity and live-heap canary: replay the n=1k and n=10k stream
+# corpora and fail if ns/event grows more than 1.5x across the decade,
+# or if the 10k deployment holds more live heap per event than
+# cmd/benchjson's guardMaxHeapPerEvent. Writes no files. Mirrors the CI
+# "Bench guard" step.
 bench-guard:
 	go run ./cmd/benchjson -guard
 

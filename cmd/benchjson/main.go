@@ -116,9 +116,13 @@ type StreamEntry struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 	// HeapAllocBytes is the live heap the deployment holds after the
 	// replay's final flush: HeapAlloc after a forced GC with the service
-	// still open, minus the same reading taken before it started.
-	// Campaigns older than the "run" bench key read it after Close, so
-	// their rows measure a closed service (0.17–0.25 MB at every n).
+	// still open, minus the same reading taken before the first stream
+	// corpus was replayed, so the interned behavior sets count whichever
+	// replay interned them first. Older rows subtracted a reading taken
+	// just before their own replay; the two agree while nothing outlives
+	// a deployment. Campaigns older than the "run" bench key read it
+	// after Close, so their rows measure a closed service (0.17–0.25 MB
+	// at every n).
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
 	// MaxQueueDepth is the deepest the bounded ingest queue ever got.
 	MaxQueueDepth int `json:"max_queue_depth"`
@@ -136,6 +140,12 @@ type StreamEntry struct {
 // guardMaxRatio is the -guard failure threshold: ns/event at n=10k may
 // exceed ns/event at n=1k by at most this factor.
 const guardMaxRatio = 1.5
+
+// guardMaxHeapPerEvent is -guard's live-heap canary: the n=10k
+// deployment may hold at most this many bytes per event, 1.25 times the
+// 3,462–3,472 bytes measured when behavioral profiles were first
+// interned. A count of live bytes does not drift with the host's speed.
+const guardMaxHeapPerEvent = 4340
 
 func main() {
 	out := flag.String("o", "BENCH_bcluster.json", "output JSON path (merged in place; empty disables)")
@@ -158,12 +168,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: -label must not be empty (it keys the merged entries; an empty label would silently shadow a real campaign)")
 		os.Exit(1)
 	}
-	if *out != "" {
-		if err := run(*out, *label); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-	}
+	// The stream bench runs first: its heap column counts the process's
+	// intern table (see measureStream), which must hold nothing but the
+	// stream corpora's own sets.
 	if *streamOut != "" {
 		shardCounts, err := parseShards(*streamShards)
 		if err != nil {
@@ -176,6 +183,12 @@ func main() {
 			os.Exit(1)
 		}
 		if err := runStream(*streamOut, *label, shardCounts, replicaCounts); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+	}
+	if *out != "" {
+		if err := run(*out, *label); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
@@ -256,15 +269,26 @@ func (e *streamEnricher) ExecuteSample(s *dataset.Sample) (*behavior.Profile, bo
 // faster run is recorded: the first replay at the larger corpus sizes
 // pays the OS page-fault cost of growing the heap for the first time,
 // which measures the machine, not the service.
-func measureStream(label string, n, shards int) (StreamEntry, error) {
+//
+// The heap column is the live heap with the deployment open above base,
+// a reading taken before the process replayed any corpus. Behavioral
+// sets are interned in one table for the whole process, which outlives
+// a closed deployment, so a reading taken before each replay would leave
+// out every set an earlier replay interned. Counting the whole table is
+// exact as long as the table holds only sets the deployment references:
+// StreamEvents(n) draws its profiles from a prefix-stable corpus, so it
+// references every set of a smaller one, and the stream corpora run
+// first, in increasing n. What earlier corpora left in the table is
+// printed with each point.
+func measureStream(label string, n, shards int, base uint64) (StreamEntry, error) {
 	enricher := &streamEnricher{noise: benchdata.NoiseCounts(n)}
 	events := benchdata.StreamEvents(n)
 	cfg := stream.DefaultConfig()
+	sets, features := behavior.Interned()
 	var elapsed time.Duration
 	var st stream.Stats
 	var heap uint64
 	for rep := 0; rep < 2; rep++ {
-		base := liveHeap()
 		c, err := shard.New(shard.Config{Shards: shards, Stream: cfg}, enricher)
 		if err != nil {
 			return StreamEntry{}, err
@@ -302,9 +326,9 @@ func measureStream(label string, n, shards int) (StreamEntry, error) {
 		BClusters:       st.B.Clusters,
 		Gomaxprocs:      runtime.GOMAXPROCS(0),
 	}
-	fmt.Printf("%s/stream-%d/shards-%d\t%d events\t%d ns/event\t%.0f events/s\theap=%dMB epochs=%d(full=%d)+%d clusters=%d\n",
-		label, n, shards, e.Events, e.NsPerEvent, e.EventsPerSec, e.HeapAllocBytes>>20,
-		e.EPMEpochs, e.EPMFullRegroups, e.BEpochs, e.BClusters)
+	fmt.Printf("%s/stream-%d/shards-%d\t%d events\t%d ns/event\t%.0f events/s\theap=%dMB (%d B/event; %d sets, %d features interned before) epochs=%d(full=%d)+%d clusters=%d\n",
+		label, n, shards, e.Events, e.NsPerEvent, e.EventsPerSec, e.HeapAllocBytes>>20, e.HeapAllocBytes/uint64(e.Events),
+		sets, features, e.EPMEpochs, e.EPMFullRegroups, e.BEpochs, e.BClusters)
 	return e, nil
 }
 
@@ -416,9 +440,10 @@ func runStream(path, label string, shardCounts, replicaCounts []int) error {
 	if err != nil {
 		return err
 	}
+	base := liveHeap()
 	for _, n := range benchdata.StreamSizes {
 		for _, shards := range shardCounts {
-			e, err := measureStream(label, n, shards)
+			e, err := measureStream(label, n, shards, base)
 			if err != nil {
 				return err
 			}
@@ -478,14 +503,16 @@ func upsertStream(entries []StreamEntry, e StreamEntry) []StreamEntry {
 	return append(entries, e)
 }
 
-// runGuard is the CI superlinearity canary: flat per-event cost means
-// the 10k point stays within guardMaxRatio of the 1k point.
+// runGuard is the CI canary: flat per-event cost means the 10k point
+// stays within guardMaxRatio of the 1k point, and the 10k deployment's
+// live heap stays within guardMaxHeapPerEvent.
 func runGuard() error {
-	small, err := measureStream("guard", 1000, 1)
+	base := liveHeap()
+	small, err := measureStream("guard", 1000, 1, base)
 	if err != nil {
 		return err
 	}
-	big, err := measureStream("guard", 10000, 1)
+	big, err := measureStream("guard", 10000, 1, base)
 	if err != nil {
 		return err
 	}
@@ -495,6 +522,11 @@ func runGuard() error {
 	if ratio > guardMaxRatio {
 		return fmt.Errorf("superlinear ingest: ns/event grew %.2fx from n=1k to n=10k (limit %.2fx)",
 			ratio, guardMaxRatio)
+	}
+	perEvent := big.HeapAllocBytes / uint64(big.Events)
+	fmt.Printf("guard: live heap %d bytes/event at n=10k (limit %d)\n", perEvent, guardMaxHeapPerEvent)
+	if perEvent > guardMaxHeapPerEvent {
+		return fmt.Errorf("live heap %d bytes/event at n=10k exceeds %d", perEvent, guardMaxHeapPerEvent)
 	}
 	return nil
 }

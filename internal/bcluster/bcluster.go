@@ -203,16 +203,24 @@ var emptyPrefix = []uint64{0}
 // RunExact clusters the inputs with the naive all-pairs comparison. It is
 // the test oracle for Run, which must produce the identical partition,
 // and the baseline of the scalability ablation. Verification uses the
-// same interned FeatureSet representation as Run, so the ablation
+// same interned hash sets as Run, so the ablation
 // isolates candidate generation rather than Jaccard implementation
 // details.
 func RunExact(inputs []Input, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	members := make([]member, len(inputs))
 	sets := make([]behavior.FeatureSet, len(inputs))
 	for i, in := range inputs {
-		sets[i] = in.Profile.FeatureSet()
+		if in.Profile == nil {
+			return nil, fmt.Errorf("bcluster: input %q has nil profile", in.ID)
+		}
+		set, err := behavior.Intern(in.Profile)
+		if err != nil {
+			return nil, fmt.Errorf("bcluster: input %q: %w", in.ID, err)
+		}
+		members[i], sets[i] = member{ID: in.ID, Set: set}, set.Hashes()
 	}
 	uf := newUnionFind(len(inputs))
 	stats := Stats{Samples: len(inputs)}
@@ -225,11 +233,11 @@ func RunExact(inputs []Input, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	return assemble(inputs, uf, stats), nil
+	return assemble(members, uf, stats), nil
 }
 
 // assemble converts union-find components into sorted clusters.
-func assemble(inputs []Input, uf *unionFind, stats Stats) *Result {
+func assemble(inputs []member, uf *unionFind, stats Stats) *Result {
 	roots := make([]int, len(inputs))
 	for i := range roots {
 		roots[i] = uf.find(i)
@@ -240,7 +248,7 @@ func assemble(inputs []Input, uf *unionFind, stats Stats) *Result {
 // assembleRoots converts a precomputed component-root vector into sorted
 // clusters; Incremental.Result uses it with non-mutating root resolution
 // so snapshots are safe under a read lock.
-func assembleRoots(inputs []Input, roots []int, stats Stats) *Result {
+func assembleRoots(inputs []member, roots []int, stats Stats) *Result {
 	groups := make(map[int][]string)
 	for i, in := range inputs {
 		groups[roots[i]] = append(groups[roots[i]], in.ID)
@@ -264,23 +272,6 @@ func assembleRoots(inputs []Input, roots []int, stats Stats) *Result {
 		}
 	}
 	return res
-}
-
-// contentHash folds a feature set into one 64-bit key, under which the
-// incremental clusterer finds the first copy of a duplicate set.
-func contentHash(fs behavior.FeatureSet) uint64 {
-	h := uint64(len(fs)) * 0x9e3779b97f4a7c15
-	for _, v := range fs {
-		h = mix(h ^ v)
-	}
-	return h
-}
-
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // unionFind is a weighted quick-union with path halving.

@@ -19,6 +19,16 @@ func mkProfile(fs ...string) *behavior.Profile {
 	return p
 }
 
+// hashesOf interns p and returns its hash set.
+func hashesOf(t testing.TB, p *behavior.Profile) behavior.FeatureSet {
+	t.Helper()
+	s, err := behavior.Intern(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Hashes()
+}
+
 func TestConfigValidate(t *testing.T) {
 	tests := []struct {
 		name    string

@@ -3,7 +3,6 @@ package bcluster
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/behavior"
 )
@@ -28,8 +27,9 @@ type Incremental struct {
 	cfg Config
 
 	byID   map[string]int
-	inputs []Input
-	sets   []behavior.FeatureSet
+	inputs []member
+	// sets[i] is inputs[i].Set.Hashes(), kept beside it for the probe.
+	sets []behavior.FeatureSet
 
 	uf *unionFind
 	// index posts each integrated sample under its prefix tokens (see
@@ -39,9 +39,9 @@ type Incremental struct {
 	// an earlier set is linked to its first copy instead of being posted,
 	// and a quarantined sample is not posted.
 	posted []int
-	// firstCopy maps the content hash of each distinct set the undefended
-	// probe has posted to its first copy.
-	firstCopy map[uint64]int
+	// firstCopy maps each distinct set the undefended probe has posted
+	// to its first copy. Sets are interned, so one pointer is one set.
+	firstCopy map[*behavior.Set]int
 	// failedIn is the failed-pair stamp of one probe: failedIn[i] == j+1
 	// means pair (i, j) missed the threshold while sample j was being
 	// integrated. A pair can share several prefix tokens; the stamp keeps
@@ -71,7 +71,7 @@ func NewIncremental(cfg Config) (*Incremental, error) {
 		cfg:       cfg,
 		byID:      make(map[string]int),
 		index:     make(map[uint64]*bucket),
-		firstCopy: make(map[uint64]int),
+		firstCopy: make(map[*behavior.Set]int),
 		uf:        newUnionFind(0),
 	}
 	if cfg.defenseEnabled() {
@@ -83,25 +83,43 @@ func NewIncremental(cfg Config) (*Incremental, error) {
 	return inc, nil
 }
 
-// Add parks one sample for the next verification epoch. The feature set
-// is interned eagerly (it depends only on the profile), so Verify is a
-// pure probe-and-link pass.
+// member is what the clusterer keeps of one Input: the profile is
+// interned into its Set and dropped.
+type member struct {
+	ID       string
+	Set      *behavior.Set
+	Group    string
+	Distrust float64
+}
+
+// Add parks one sample for the next verification epoch. The profile is
+// interned eagerly (the set depends only on the profile), so Verify is a
+// pure probe-and-link pass; a profile the stream already interned costs
+// one pointer load.
 func (inc *Incremental) Add(in Input) error {
-	if in.ID == "" {
-		return fmt.Errorf("bcluster: input with empty ID")
-	}
-	if _, dup := inc.byID[in.ID]; dup {
-		return fmt.Errorf("bcluster: duplicate input ID %q", in.ID)
-	}
 	if in.Profile == nil {
 		return fmt.Errorf("bcluster: input %q has nil profile", in.ID)
+	}
+	set, err := behavior.Intern(in.Profile)
+	if err != nil {
+		return fmt.Errorf("bcluster: input %q: %w", in.ID, err)
+	}
+	return inc.add(member{ID: in.ID, Set: set, Group: in.Group, Distrust: in.Distrust})
+}
+
+func (inc *Incremental) add(m member) error {
+	if m.ID == "" {
+		return fmt.Errorf("bcluster: input with empty ID")
+	}
+	if _, dup := inc.byID[m.ID]; dup {
+		return fmt.Errorf("bcluster: duplicate input ID %q", m.ID)
 	}
 	if len(inc.inputs) >= math.MaxUint32 {
 		return fmt.Errorf("bcluster: %d inputs overflow the probe stamps", len(inc.inputs))
 	}
-	inc.byID[in.ID] = len(inc.inputs)
-	inc.inputs = append(inc.inputs, in)
-	inc.sets = append(inc.sets, in.Profile.FeatureSet())
+	inc.byID[m.ID] = len(inc.inputs)
+	inc.inputs = append(inc.inputs, m)
+	inc.sets = append(inc.sets, m.Set.Hashes())
 	inc.stats.Samples++
 	return nil
 }
@@ -121,8 +139,12 @@ func (inc *Incremental) Amend(id string, p *behavior.Profile) error {
 	if p == nil {
 		return fmt.Errorf("bcluster: amend of %q with nil profile", id)
 	}
-	inc.inputs[idx].Profile = p
-	inc.sets[idx] = p.FeatureSet()
+	set, err := behavior.Intern(p)
+	if err != nil {
+		return fmt.Errorf("bcluster: amend of %q: %w", id, err)
+	}
+	inc.inputs[idx].Set = set
+	inc.sets[idx] = set.Hashes()
 	return nil
 }
 
@@ -198,18 +220,15 @@ type bucket struct {
 // skipping the scan leaves partition and stats exactly as the full scan
 // would, byte for byte.
 func (inc *Incremental) integrate(j int) {
-	set := inc.sets[j]
-	h := contentHash(set)
-	if c, ok := inc.firstCopy[h]; ok && slices.Equal(inc.sets[c], set) {
+	if c, ok := inc.firstCopy[inc.inputs[j].Set]; ok {
 		inc.stats.CandidatePairs++
 		inc.stats.Links++
 		inc.uf.union(c, j)
 		inc.merges++
 		return
-	} else if !ok {
-		inc.firstCopy[h] = j
 	}
-	for _, tok := range prefix(set, inc.cfg.Threshold) {
+	inc.firstCopy[inc.inputs[j].Set] = j
+	for _, tok := range prefix(inc.sets[j], inc.cfg.Threshold) {
 		b := inc.index[tok]
 		if b == nil {
 			b = &bucket{}

@@ -177,10 +177,10 @@ func lowFeatures(tag string, n int) []string {
 
 // sharedPrefixTokens counts the prefix tokens two profiles share at the
 // config's threshold: how many posting lists propose the pair.
-func sharedPrefixTokens(cfg Config, a, b *behavior.Profile) int {
+func sharedPrefixTokens(t *testing.T, cfg Config, a, b *behavior.Profile) int {
 	n := 0
-	for _, x := range prefix(a.FeatureSet(), cfg.Threshold) {
-		if slices.Contains(prefix(b.FeatureSet(), cfg.Threshold), x) {
+	for _, x := range prefix(hashesOf(t, a), cfg.Threshold) {
+		if slices.Contains(prefix(hashesOf(t, b), cfg.Threshold), x) {
 			n++
 		}
 	}
@@ -206,10 +206,10 @@ func TestIncrementalFailedPairCountedOnce(t *testing.T) {
 	pa.Add("pair-a1")
 	pb.Add("pair-b0")
 	pb.Add("pair-b1")
-	if j := pa.Jaccard(pb); j >= cfg.Threshold {
+	if j := hashesOf(t, pa).Jaccard(hashesOf(t, pb)); j >= cfg.Threshold {
 		t.Fatalf("premise: pair Jaccard %v must fail %v", j, cfg.Threshold)
 	}
-	if n := sharedPrefixTokens(cfg, pa, pb); n < 2 {
+	if n := sharedPrefixTokens(t, cfg, pa, pb); n < 2 {
 		t.Fatalf("premise: pair shares %d prefix tokens, want several", n)
 	}
 	var inputs []Input

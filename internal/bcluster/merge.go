@@ -57,7 +57,7 @@ func Merge(parts []*Incremental) (*Result, error) {
 	// samples in (part, arrival) order, the global union-find and stamps.
 	m := &Incremental{
 		cfg:      cfg,
-		inputs:   make([]Input, 0, total),
+		inputs:   make([]member, 0, total),
 		sets:     make([]behavior.FeatureSet, 0, total),
 		uf:       newUnionFind(total),
 		failedIn: make([]uint32, total),

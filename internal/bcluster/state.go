@@ -16,9 +16,13 @@ import (
 type IncrementalInput struct {
 	ID       string   `json:"id"`
 	Features []string `json:"features"`
-	Group    string   `json:"group,omitempty"`
-	Distrust float64  `json:"distrust,omitempty"`
-	Status   Status   `json:"status,omitempty"`
+	// Set, when non-nil, is the interned set of Features, and
+	// RestoreIncremental reads it instead: a decoder that interns each
+	// input as it reads it need not keep the feature strings.
+	Set      *behavior.Set `json:"-"`
+	Group    string        `json:"group,omitempty"`
+	Distrust float64       `json:"distrust,omitempty"`
+	Status   Status        `json:"status,omitempty"`
 	// HoldPair is the attested component pair of a held sample, as two
 	// input indices; nil otherwise.
 	HoldPair []int `json:"hold_pair,omitempty"`
@@ -38,8 +42,9 @@ type IncrementalState struct {
 }
 
 // EachInput calls fn with each input's persisted record, in arrival
-// order, without copying the clusterer's state. The record is reused
-// between calls: fn must not retain it or modify its slices.
+// order, without copying the clusterer's state: Features is the
+// interned set's shared name list. The record is reused between calls:
+// fn must not retain it or modify its slices.
 func (inc *Incremental) EachInput(fn func(*IncrementalInput)) {
 	var (
 		rec  IncrementalInput
@@ -48,7 +53,7 @@ func (inc *Incremental) EachInput(fn func(*IncrementalInput)) {
 	for i, in := range inc.inputs {
 		rec = IncrementalInput{
 			ID:       in.ID,
-			Features: in.Profile.Features(),
+			Features: in.Set.Names(),
 			Group:    in.Group,
 			Distrust: in.Distrust,
 		}
@@ -102,11 +107,14 @@ func RestoreIncremental(cfg Config, st IncrementalState) (*Incremental, error) {
 		}
 	}
 	add := func(in IncrementalInput) error {
-		p := behavior.NewProfile()
-		for _, f := range in.Features {
-			p.Add(f)
+		set := in.Set
+		if set == nil {
+			var err error
+			if set, err = behavior.InternFeatures(in.Features); err != nil {
+				return fmt.Errorf("input %q: %w", in.ID, err)
+			}
 		}
-		return inc.Add(Input{ID: in.ID, Profile: p, Group: in.Group, Distrust: in.Distrust})
+		return inc.add(member{ID: in.ID, Set: set, Group: in.Group, Distrust: in.Distrust})
 	}
 	if inc.def != nil {
 		inc.def.restoring = true

@@ -14,7 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 )
 
 // OpKind enumerates the operation types a behavior program can perform.
@@ -166,17 +166,13 @@ func (p *Program) Validate() error {
 // Profile is a behavioral profile: the set of abstract features observed
 // during one sandbox execution of a sample.
 //
-// A profile is built by the sandbox (Add) and then consumed read-only by
-// the enrichment and clustering layers. The sorted snapshot (Features)
-// and the interned hash set (FeatureSet) are computed once on first use
-// and cached; Add invalidates the cache. The cache is safe under
-// concurrent readers.
+// A profile is built by the sandbox (Add) and then interned (Intern):
+// the enrichment and clustering layers keep the interned Set and drop
+// the profile. The profile remembers its Set, so interning it again is
+// a pointer load; Add forgets it.
 type Profile struct {
 	features map[string]struct{}
-
-	mu     sync.Mutex
-	sorted []string
-	set    FeatureSet
+	interned atomic.Pointer[Set]
 }
 
 // NewProfile returns an empty profile.
@@ -190,15 +186,7 @@ func (p *Profile) Add(feature string) {
 		return
 	}
 	p.features[feature] = struct{}{}
-	p.mu.Lock()
-	p.sorted, p.set = nil, nil
-	p.mu.Unlock()
-}
-
-// Has reports whether the profile contains the feature.
-func (p *Profile) Has(feature string) bool {
-	_, ok := p.features[feature]
-	return ok
+	p.interned.Store(nil)
 }
 
 // Len reports the number of distinct features.
@@ -206,61 +194,14 @@ func (p *Profile) Len() int {
 	return len(p.features)
 }
 
-// Features returns the sorted feature list. The sort runs once per
-// profile; subsequent calls copy the cached snapshot, so callers own the
-// returned slice.
+// Features returns the sorted feature list; the caller owns it.
 func (p *Profile) Features() []string {
-	p.mu.Lock()
-	if p.sorted == nil {
-		p.sorted = make([]string, 0, len(p.features))
-		for f := range p.features {
-			p.sorted = append(p.sorted, f)
-		}
-		sort.Strings(p.sorted)
+	out := make([]string, 0, len(p.features))
+	for f := range p.features {
+		out = append(out, f)
 	}
-	out := make([]string, len(p.sorted))
-	copy(out, p.sorted)
-	p.mu.Unlock()
+	sort.Strings(out)
 	return out
-}
-
-// FeatureSet returns the profile's interned hash set, built once per
-// profile and cached. The returned slice is shared and must be treated
-// as read-only; it is the representation the B-clustering hot path
-// (prefix index and Jaccard verification) operates on.
-func (p *Profile) FeatureSet() FeatureSet {
-	p.mu.Lock()
-	if p.set == nil {
-		fs := make(FeatureSet, 0, len(p.features))
-		for f := range p.features {
-			fs = append(fs, FeatureHash(f))
-		}
-		fs.normalize()
-		p.set = fs
-	}
-	out := p.set
-	p.mu.Unlock()
-	return out
-}
-
-// Jaccard computes the Jaccard similarity |A∩B| / |A∪B| between two
-// profiles; two empty profiles have similarity 1.
-func (p *Profile) Jaccard(q *Profile) float64 {
-	if p.Len() == 0 && q.Len() == 0 {
-		return 1
-	}
-	small, large := p.features, q.features
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	inter := 0
-	for f := range small {
-		if _, ok := large[f]; ok {
-			inter++
-		}
-	}
-	union := len(p.features) + len(q.features) - inter
-	return float64(inter) / float64(union)
 }
 
 // Feature constructors. All profile features funnel through these helpers

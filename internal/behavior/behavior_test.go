@@ -86,9 +86,6 @@ func TestProfileBasics(t *testing.T) {
 	if p.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", p.Len())
 	}
-	if !p.Has("a") || p.Has("c") {
-		t.Error("Has misbehaves")
-	}
 	got := p.Features()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Features = %v, want sorted [a b]", got)
@@ -117,7 +114,7 @@ func TestJaccard(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.a.Jaccard(tt.b); math.Abs(got-tt.want) > 1e-9 {
+			if got := mustIntern(t, tt.a).Hashes().Jaccard(mustIntern(t, tt.b).Hashes()); math.Abs(got-tt.want) > 1e-9 {
 				t.Errorf("Jaccard = %v, want %v", got, tt.want)
 			}
 		})
@@ -134,7 +131,7 @@ func TestJaccardProperties(t *testing.T) {
 	}
 	// Symmetry and range.
 	f := func(as, bs []string) bool {
-		a, b := mk(as), mk(bs)
+		a, b := mustIntern(t, mk(as)).Hashes(), mustIntern(t, mk(bs)).Hashes()
 		ab, ba := a.Jaccard(b), b.Jaccard(a)
 		return ab == ba && ab >= 0 && ab <= 1
 	}
@@ -143,7 +140,7 @@ func TestJaccardProperties(t *testing.T) {
 	}
 	// Self-similarity is 1.
 	g := func(as []string) bool {
-		a := mk(as)
+		a := mustIntern(t, mk(as)).Hashes()
 		return a.Jaccard(a) == 1
 	}
 	if err := quick.Check(g, nil); err != nil {

@@ -27,8 +27,39 @@ func profileOf(features ...string) *Profile {
 	return p
 }
 
+// mustIntern interns p and fails the test on a collision.
+func mustIntern(t testing.TB, p *Profile) *Set {
+	t.Helper()
+	s, err := Intern(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// jaccard is the map-based Jaccard |A∩B| / |A∪B| over two profiles'
+// feature strings — the oracle the hash-set Jaccard is held to. Two
+// empty profiles have similarity 1.
+func jaccard(p, q *Profile) float64 {
+	if p.Len() == 0 && q.Len() == 0 {
+		return 1
+	}
+	small, large := p.features, q.features
+	if len(small) > len(large) {
+		small, large = large, small
+	}
+	inter := 0
+	for f := range small {
+		if _, ok := large[f]; ok {
+			inter++
+		}
+	}
+	union := len(p.features) + len(q.features) - inter
+	return float64(inter) / float64(union)
+}
+
 func TestFeatureSetSortedDeduped(t *testing.T) {
-	fs := profileOf("b", "a", "c", "a", "b").FeatureSet()
+	fs := mustIntern(t, profileOf("b", "a", "c", "a", "b")).Hashes()
 	if len(fs) != 3 {
 		t.Fatalf("len = %d, want 3 (deduplicated)", len(fs))
 	}
@@ -40,13 +71,13 @@ func TestFeatureSetSortedDeduped(t *testing.T) {
 }
 
 // TestFeatureSetJaccardMatchesProfile is the differential property test
-// behind the bcluster hot-path swap: the merge-based Jaccard over
-// interned hash sets must agree with the map-based Profile.Jaccard on
-// random profiles, including the empty/disjoint/identical corners.
+// behind the bcluster hot path: the merge-based Jaccard over interned
+// hash sets must agree with the map-based oracle on random profiles,
+// including the empty/disjoint/identical corners.
 func TestFeatureSetJaccardMatchesProfile(t *testing.T) {
 	diff := func(as, bs []string) bool {
 		a, b := profileOf(as...), profileOf(bs...)
-		return math.Abs(a.Jaccard(b)-a.FeatureSet().Jaccard(b.FeatureSet())) < 1e-12
+		return math.Abs(jaccard(a, b)-mustIntern(t, a).Hashes().Jaccard(mustIntern(t, b).Hashes())) < 1e-12
 	}
 	if err := quick.Check(diff, nil); err != nil {
 		t.Error(err)
@@ -68,9 +99,9 @@ func TestFeatureSetJaccardMatchesProfile(t *testing.T) {
 		for k := 0; k < r.Intn(10); k++ {
 			b.Add(fmt.Sprintf("b-%d", r.Intn(20)))
 		}
-		want, got := a.Jaccard(b), a.FeatureSet().Jaccard(b.FeatureSet())
+		want, got := jaccard(a, b), mustIntern(t, a).Hashes().Jaccard(mustIntern(t, b).Hashes())
 		if math.Abs(want-got) > 1e-12 {
-			t.Fatalf("trial %d: Profile.Jaccard = %v, FeatureSet.Jaccard = %v", trial, want, got)
+			t.Fatalf("trial %d: map Jaccard = %v, FeatureSet.Jaccard = %v", trial, want, got)
 		}
 	}
 
@@ -85,16 +116,16 @@ func TestFeatureSetJaccardMatchesProfile(t *testing.T) {
 		{[]string{"x", "y"}, []string{"x", "y"}, 1},
 	}
 	for _, c := range cases {
-		got := profileOf(c.a...).FeatureSet().Jaccard(profileOf(c.b...).FeatureSet())
+		got := mustIntern(t, profileOf(c.a...)).Hashes().Jaccard(mustIntern(t, profileOf(c.b...)).Hashes())
 		if math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("Jaccard(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
 
-// TestProfileSnapshotCaching pins the built-once contract: the sorted
-// snapshot and the feature set are cached, callers own the Features
-// copy, and Add invalidates both caches.
+// TestProfileSnapshotCaching pins what a profile caches: its interned
+// Set, which a second Intern returns without a lookup and Add forgets;
+// Features is computed per call, and callers own the copy.
 func TestProfileSnapshotCaching(t *testing.T) {
 	p := NewProfile()
 	p.Add("b")
@@ -102,20 +133,24 @@ func TestProfileSnapshotCaching(t *testing.T) {
 	f1 := p.Features()
 	f1[0] = "mutated"
 	if got := p.Features(); got[0] != "a" || got[1] != "b" {
-		t.Errorf("caller mutation leaked into cached snapshot: %v", got)
+		t.Errorf("caller mutation leaked into the profile: %v", got)
 	}
-	s1 := p.FeatureSet()
+	s1 := mustIntern(t, p)
+	if p.interned.Load() != s1 || mustIntern(t, p) != s1 {
+		t.Error("a second Intern did not reuse the remembered set")
+	}
 	p.Add("c")
-	if got := p.Features(); len(got) != 3 || got[2] != "c" {
-		t.Errorf("Add did not invalidate sorted snapshot: %v", got)
+	if p.interned.Load() != nil {
+		t.Error("Add did not forget the interned set")
 	}
-	if s2 := p.FeatureSet(); len(s2) != 3 {
-		t.Errorf("Add did not invalidate feature set: %v (old %v)", s2, s1)
+	if s2 := mustIntern(t, p); s2 == s1 || len(s2.Names()) != 3 || s2.Names()[2] != "c" {
+		t.Errorf("Intern after Add = %v, want a new three-feature set", s2.Names())
 	}
-	// Adding a duplicate must not invalidate (and must not grow) anything.
+	// Adding a duplicate must not forget anything.
+	s3 := mustIntern(t, p)
 	p.Add("c")
-	if got := p.FeatureSet(); len(got) != 3 {
-		t.Errorf("duplicate Add changed feature set: %v", got)
+	if p.interned.Load() != s3 {
+		t.Error("duplicate Add forgot the interned set")
 	}
 }
 

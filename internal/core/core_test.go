@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/dataset"
 	"repro/internal/malgen"
 )
 
@@ -221,5 +225,35 @@ func TestNewPipelineMatchesPrepare(t *testing.T) {
 	}
 	if executed == 0 {
 		t.Fatal("scenario has no executable samples; the test compares nothing")
+	}
+}
+
+// TestEnrichedJSONLPinned pins the JSONL of the enriched SmallScenario
+// dataset — every executed sample's profile included — to the SHA-256
+// recorded before profiles were interned, and requires it to survive a
+// read and a rewrite byte for byte.
+func TestEnrichedJSONLPinned(t *testing.T) {
+	const want = "1ccc4b64ea36d7c110fd5e70b71dfc3e10573d3a7f18e52cc706029c0c668f7d"
+	res, err := Run(SmallScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := res.Dataset.WriteJSONL(&out); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != want {
+		t.Errorf("enriched JSONL sha256 %s, want %s", got, want)
+	}
+	back, err := dataset.ReadJSONL(bytes.NewReader(out.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := back.WriteJSONL(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), out.Bytes()) {
+		t.Error("the enriched JSONL changed across a read and a rewrite")
 	}
 }

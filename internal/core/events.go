@@ -68,8 +68,11 @@ func RunEvents(events []dataset.Event, enricher Enricher, th epm.Thresholds, bcf
 	if workers > len(execList) && len(execList) > 0 {
 		workers = len(execList)
 	}
+	// Each worker interns the profiles it produces, as the streaming
+	// service does.
 	type outcome struct {
 		profile  *behavior.Profile
+		set      *behavior.Set
 		degraded bool
 		err      error
 	}
@@ -82,7 +85,11 @@ func RunEvents(events []dataset.Event, enricher Enricher, th epm.Thresholds, bcf
 			defer wg.Done()
 			for i := range next {
 				p, d, err := enricher.ExecuteSample(execList[i])
-				outs[i] = outcome{profile: p, degraded: d, err: err}
+				var set *behavior.Set
+				if err == nil {
+					set, err = behavior.Intern(p)
+				}
+				outs[i] = outcome{profile: p, set: set, degraded: d, err: err}
 			}
 		}()
 	}
@@ -102,7 +109,7 @@ func RunEvents(events []dataset.Event, enricher Enricher, th epm.Thresholds, bcf
 		if outs[i].degraded {
 			res.Degraded++
 		}
-		smp.Profile = outs[i].profile.Features()
+		smp.Profile = outs[i].set.Names()
 		inputs = append(inputs, bcluster.Input{ID: smp.MD5, Profile: outs[i].profile})
 	}
 	b, err := bcluster.Run(inputs, bcfg)

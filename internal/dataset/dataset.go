@@ -82,7 +82,9 @@ type Sample struct {
 	// empty label = not detected).
 	AVLabels map[string]string `json:"av_labels,omitempty"`
 	// Profile is the behavioral profile from dynamic analysis (sorted
-	// features); nil when the sample could not be executed.
+	// features); nil when the sample could not be executed. The
+	// enrichment paths set it to an interned behavior.Set's names, shared
+	// by every sample with the same profile: read it, never modify it.
 	Profile []string `json:"profile,omitempty"`
 
 	TruthFamily  string `json:"truth_family,omitempty"`

@@ -126,9 +126,12 @@ func (p *Pipeline) Enrich(ds *dataset.Dataset) (*Result, error) {
 	if workers > len(jobs) && len(jobs) > 0 {
 		workers = len(jobs)
 	}
+	// Each worker interns the profiles it produces, so the B-clustering
+	// below finds every profile interned.
 	type exec struct {
-		report   *sandbox.Report
-		features []string
+		report *sandbox.Report
+		set    *behavior.Set
+		err    error
 	}
 	execs := make([]exec, len(jobs))
 	var wg sync.WaitGroup
@@ -138,8 +141,9 @@ func (p *Pipeline) Enrich(ds *dataset.Dataset) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				rep := p.executeVariant(jobs[i].variant, jobs[i].sample)
-				execs[i] = exec{report: rep, features: rep.Profile.Features()}
+				rep := p.sandbox.Run(jobs[i].variant.Program, jobs[i].sample.FirstSeen, jobs[i].sample.MD5)
+				set, err := behavior.Intern(rep.Profile)
+				execs[i] = exec{report: rep, set: set, err: err}
 			}
 		}()
 	}
@@ -152,11 +156,14 @@ func (p *Pipeline) Enrich(ds *dataset.Dataset) (*Result, error) {
 	inputs := make([]bcluster.Input, 0, len(jobs))
 	for i, j := range jobs {
 		rep := execs[i].report
+		if err := execs[i].err; err != nil {
+			return nil, fmt.Errorf("enrich: sample %s: %w", j.sample.MD5, err)
+		}
 		res.Executed++
 		if rep.Degraded {
 			res.Degraded++
 		}
-		j.sample.Profile = execs[i].features
+		j.sample.Profile = execs[i].set.Names()
 		inputs = append(inputs, bcluster.Input{ID: j.sample.MD5, Profile: rep.Profile})
 	}
 	bres, err := bcluster.Run(inputs, p.cfg.BCluster)
@@ -196,18 +203,8 @@ func (p *Pipeline) ExecuteSample(s *dataset.Sample) (*behavior.Profile, bool, er
 	if v == nil {
 		return nil, false, fmt.Errorf("enrich: sample %s references unknown variant %q", s.MD5, s.TruthVariant)
 	}
-	rep := p.executeVariant(v, s)
-	return rep.Profile, rep.Degraded, nil
-}
-
-// executeVariant is the shared sandbox invocation: it builds both profile
-// snapshots on the calling goroutine — the sorted feature list recorded
-// on the sample and the interned FeatureSet the B-clustering consumes —
-// so each is derived exactly once per profile and reused downstream.
-func (p *Pipeline) executeVariant(v *malgen.Variant, s *dataset.Sample) *sandbox.Report {
 	rep := p.sandbox.Run(v.Program, s.FirstSeen, s.MD5)
-	rep.Profile.FeatureSet()
-	return rep
+	return rep.Profile, rep.Degraded, nil
 }
 
 // Reexecute runs a sample's program `attempts` times with fresh run keys
@@ -243,7 +240,11 @@ func (p *Pipeline) Reexecute(ds *dataset.Dataset, md5 string, attempts int) (*be
 			best = rep.Profile
 		}
 	}
-	s.Profile = best.Features()
+	set, err := behavior.Intern(best)
+	if err != nil {
+		return nil, false, fmt.Errorf("enrich: sample %s: %w", md5, err)
+	}
+	s.Profile = set.Names()
 	return best, healed, nil
 }
 

@@ -1,9 +1,12 @@
 package enrich
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/behavior"
 	"repro/internal/dataset"
 	"repro/internal/malgen"
 	"repro/internal/sgnet"
@@ -174,7 +177,7 @@ func TestReexecuteHealsDegradedProfiles(t *testing.T) {
 			healedCount++
 			// A healed worm profile must contain the family's stable
 			// behaviour.
-			if !profile.Has("scan|tcp/445") {
+			if !has(profile, "scan|tcp/445") {
 				t.Errorf("healed profile of %s missing worm scan feature: %v", md5, profile.Features())
 			}
 		}
@@ -266,5 +269,63 @@ func TestEnrichDeterminism(t *testing.T) {
 		if len(s1[i].Profile) != len(s2[i].Profile) {
 			t.Fatalf("profile differs for %s", s1[i].MD5)
 		}
+	}
+}
+
+// has reports whether the profile holds the feature.
+func has(p *behavior.Profile, feature string) bool {
+	return slices.Contains(p.Features(), feature)
+}
+
+// TestEnrichRefusesFeatureCollision: when a sandbox run emits a feature
+// whose hash an interned, different string already holds, batch Enrich
+// returns the typed error instead of clustering the sample under the
+// other string's hash. The two paths below hash alike under the
+// "file-create|" prefix the sandbox gives them.
+func TestEnrichRefusesFeatureCollision(t *testing.T) {
+	const (
+		known   = "file-create|]#50U,[0xI8i1B"
+		emitted = "file-create|X*-;]bp1DZ1nLA"
+	)
+	if behavior.FeatureHash(known) != behavior.FeatureHash(emitted) {
+		t.Fatal("premise: the two features must share a hash")
+	}
+	rng := simrng.New(5)
+	l, err := malgen.Generate(malgen.SmallConfig(), rng.Child("landscape"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := sgnet.Simulate(l, sgnet.DefaultConfig(), rng.Child("sgnet"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(l, DefaultConfig(), rng.Child("enrich"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim *dataset.Sample
+	for _, s := range sim.Dataset.Samples() {
+		if s.Executable {
+			victim = s
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no executable sample")
+	}
+	v := l.Variant(victim.TruthVariant)
+	v.Program = &behavior.Program{
+		Name: v.Program.Name,
+		Ops:  append([]behavior.Op{{Kind: behavior.OpCreateFile, Path: strings.TrimPrefix(emitted, "file-create|")}}, v.Program.Ops...),
+	}
+	seen := behavior.NewProfile()
+	seen.Add(known)
+	if _, err := behavior.Intern(seen); err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.Enrich(sim.Dataset)
+	var ce *behavior.CollisionError
+	if !errors.As(err, &ce) || ce.Known != known || ce.Feature != emitted {
+		t.Fatalf("Enrich: %v, want a *behavior.CollisionError refusing %q", err, emitted)
 	}
 }

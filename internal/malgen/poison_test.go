@@ -65,7 +65,7 @@ func TestPoisonBridgeGeometry(t *testing.T) {
 
 	victimA := prof(famA.Variants[0].Program)
 	victimB := prof(famB.Variants[0].Program)
-	if j := victimA.Jaccard(victimB); j >= 0.7 {
+	if j := jaccard(t, victimA, victimB); j >= 0.7 {
 		t.Fatalf("victim profiles overlap too much (J=%.3f): no merge to force", j)
 	}
 	if victimA.Len() != 6 || victimB.Len() != 6 {
@@ -76,19 +76,19 @@ func TestPoisonBridgeGeometry(t *testing.T) {
 	for k, v := range bridge.Variants {
 		steps[k] = prof(v.Program)
 	}
-	if j := steps[0].Jaccard(victimA); j != 1 {
+	if j := jaccard(t, steps[0], victimA); j != 1 {
 		t.Errorf("step 0 vs victim A: J=%.3f, want 1 (anchor)", j)
 	}
-	if j := steps[BridgeSteps-1].Jaccard(victimB); j != 1 {
+	if j := jaccard(t, steps[BridgeSteps-1], victimB); j != 1 {
 		t.Errorf("last step vs victim B: J=%.3f, want 1 (anchor)", j)
 	}
 	for k := 0; k+1 < BridgeSteps; k++ {
-		if j := steps[k].Jaccard(steps[k+1]); j < 0.7 {
+		if j := jaccard(t, steps[k], steps[k+1]); j < 0.7 {
 			t.Errorf("steps %d-%d: J=%.3f, want >= 0.7 (chain link)", k, k+1, j)
 		}
 	}
 	for k := 0; k+2 < BridgeSteps; k++ {
-		if j := steps[k].Jaccard(steps[k+2]); j >= 0.7 {
+		if j := jaccard(t, steps[k], steps[k+2]); j >= 0.7 {
 			t.Errorf("steps %d-%d: J=%.3f, want < 0.7 (thin links only)", k, k+2, j)
 		}
 	}
@@ -117,13 +117,13 @@ func TestPoisonDilutionGeometry(t *testing.T) {
 	profiles := make([]*behavior.Profile, len(dilute.Variants))
 	for d, v := range dilute.Variants {
 		profiles[d] = prof(v.Program)
-		if j := profiles[d].Jaccard(victim); j < 0.7 || j == 1 {
+		if j := jaccard(t, profiles[d], victim); j < 0.7 || j == 1 {
 			t.Errorf("dilution %d vs victim: J=%.3f, want in [0.7, 1)", d, j)
 		}
 	}
 	for i := range profiles {
 		for j := i + 1; j < len(profiles); j++ {
-			if jac := profiles[i].Jaccard(profiles[j]); jac >= 0.7 {
+			if jac := jaccard(t, profiles[i], profiles[j]); jac >= 0.7 {
 				t.Errorf("dilution %d vs %d: J=%.3f, want < 0.7", i, j, jac)
 			}
 		}
@@ -171,4 +171,18 @@ func TestPoisonHelpers(t *testing.T) {
 	if !IsPoisonFamily("poison00-bridge") || IsPoisonFamily("bot00") {
 		t.Error("IsPoisonFamily misclassifies")
 	}
+}
+
+// jaccard is the Jaccard similarity of two profiles' interned sets.
+func jaccard(t *testing.T, a, b *behavior.Profile) float64 {
+	t.Helper()
+	sa, err := behavior.Intern(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := behavior.Intern(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sa.Hashes().Jaccard(sb.Hashes())
 }

@@ -2,6 +2,7 @@ package sandbox
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -133,7 +134,7 @@ func TestRunEmitsExpectedProfile(t *testing.T) {
 		"scan|tcp/445",
 	}
 	for _, f := range want {
-		if !rep.Profile.Has(f) {
+		if !has(rep.Profile, f) {
 			t.Errorf("profile missing %q; got %v", f, rep.Profile.Features())
 		}
 	}
@@ -151,16 +152,16 @@ func TestRunEnvironmentChangesProfile(t *testing.T) {
 	alive := sb.Run(botProgram(), simtime.WeekStart(5), "s1")
 	dead := sb.Run(botProgram(), simtime.WeekStart(15), "s2")
 
-	if !alive.Profile.Has("irc|67.43.232.36:6667|#kok6") {
+	if !has(alive.Profile, "irc|67.43.232.36:6667|#kok6") {
 		t.Error("alive run must join IRC")
 	}
-	if dead.Profile.Has("irc|67.43.232.36:6667|#kok6") {
+	if has(dead.Profile, "irc|67.43.232.36:6667|#kok6") {
 		t.Error("dead run must not join IRC")
 	}
-	if !dead.Profile.Has("tcp-connect|67.43.232.36:6667|fail") {
+	if !has(dead.Profile, "tcp-connect|67.43.232.36:6667|fail") {
 		t.Errorf("dead run must record the failed connection; got %v", dead.Profile.Features())
 	}
-	if sim := alive.Profile.Jaccard(dead.Profile); sim > 0.8 {
+	if sim := jaccard(t, alive.Profile, dead.Profile); sim > 0.8 {
 		t.Errorf("profiles too similar (%.2f) despite environment change", sim)
 	}
 }
@@ -177,7 +178,7 @@ func TestRunOnFailSkip(t *testing.T) {
 	}
 	sb := New(NewEnvironment(), 0, simrng.New(2)) // empty env: DNS fails
 	rep := sb.Run(prog, simtime.WeekStart(1), "s")
-	if !rep.Profile.Has("dns-resolve|iliketay.cn|fail") {
+	if !has(rep.Profile, "dns-resolve|iliketay.cn|fail") {
 		t.Error("missing failed dns feature")
 	}
 	for _, f := range rep.Profile.Features() {
@@ -185,7 +186,7 @@ func TestRunOnFailSkip(t *testing.T) {
 			t.Error("downloads must be skipped after dns failure")
 		}
 	}
-	if !rep.Profile.Has("mutex-create|done") {
+	if !has(rep.Profile, "mutex-create|done") {
 		t.Error("op after skip range must execute")
 	}
 }
@@ -203,13 +204,13 @@ func TestRunComponentDownloadRecursion(t *testing.T) {
 	}}
 	sb := New(env, 0, simrng.New(3))
 	rep := sb.Run(prog, simtime.WeekStart(1), "s")
-	if !rep.Profile.Has("http-download|iliketay.cn/one.exe|ok") {
+	if !has(rep.Profile, "http-download|iliketay.cn/one.exe|ok") {
 		t.Error("download feature missing")
 	}
-	if !rep.Profile.Has("process-create|component-a") {
+	if !has(rep.Profile, "process-create|component-a") {
 		t.Error("component execution feature missing")
 	}
-	if !rep.Profile.Has(`registry-set|HKLM\...\Run\comp`) {
+	if !has(rep.Profile, `registry-set|HKLM\...\Run\comp`) {
 		t.Error("component behaviour missing from profile")
 	}
 }
@@ -223,7 +224,7 @@ func TestRunVolatileFeatures(t *testing.T) {
 	a := sb.Run(prog, simtime.WeekStart(1), "run-a")
 	b := sb.Run(prog, simtime.WeekStart(1), "run-b")
 
-	if !a.Profile.Has("file-create|stable") || !b.Profile.Has("file-create|stable") {
+	if !has(a.Profile, "file-create|stable") || !has(b.Profile, "file-create|stable") {
 		t.Fatal("stable feature missing")
 	}
 	// The volatile mutex feature must differ between runs.
@@ -320,10 +321,10 @@ func TestRunBudgetExhaustion(t *testing.T) {
 	if !rep.BudgetExhausted {
 		t.Error("10-minute sleep must exhaust the 4-minute budget")
 	}
-	if !rep.Profile.Has("file-create|before") {
+	if !has(rep.Profile, "file-create|before") {
 		t.Error("pre-sleep op must run")
 	}
-	if rep.Profile.Has("file-create|after") {
+	if has(rep.Profile, "file-create|after") {
 		t.Error("post-sleep op must not run")
 	}
 }
@@ -335,7 +336,7 @@ func TestRunCustomBudget(t *testing.T) {
 	}}
 	sb := New(nil, time.Hour, simrng.New(9))
 	rep := sb.Run(prog, simtime.WeekStart(1), "s")
-	if rep.BudgetExhausted || !rep.Profile.Has("file-create|after") {
+	if rep.BudgetExhausted || !has(rep.Profile, "file-create|after") {
 		t.Errorf("hour budget must allow completion: %+v", rep)
 	}
 }
@@ -365,4 +366,23 @@ func BenchmarkRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sb.Run(prog, simtime.WeekStart(5), "bench")
 	}
+}
+
+// has reports whether the profile holds the feature.
+func has(p *behavior.Profile, feature string) bool {
+	return slices.Contains(p.Features(), feature)
+}
+
+// jaccard is the Jaccard similarity of two profiles' interned sets.
+func jaccard(t *testing.T, a, b *behavior.Profile) float64 {
+	t.Helper()
+	sa, err := behavior.Intern(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := behavior.Intern(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sa.Hashes().Jaccard(sb.Hashes())
 }

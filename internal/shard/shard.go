@@ -114,11 +114,13 @@ type Coordinator struct {
 	// limiter is the shared per-client ledger above one shard (nil at
 	// one shard, where the shard's own limiter applies, and when rate
 	// limiting is off). rejectedBatches and rejectedEvents count its
-	// refusals only; everything else the shards count themselves.
-	limiter         *admission.Limiter
-	admMu           sync.Mutex
-	rejectedBatches map[string]int
-	rejectedEvents  map[string]int
+	// refusals by reason and rejectedByClient by client; everything else
+	// the shards count themselves.
+	limiter          *admission.Limiter
+	admMu            sync.Mutex
+	rejectedBatches  map[string]int
+	rejectedEvents   map[string]int
+	rejectedByClient map[string]int
 
 	// viewMu serializes merged-view construction and guards the cache
 	// and the stable-ID tables. Lock order: viewMu first, then the
@@ -207,10 +209,11 @@ func NewReplicaSet(svcs []*stream.Service) (*Coordinator, error) {
 
 func newCoordinator(role string) *Coordinator {
 	c := &Coordinator{
-		rejectedBatches: make(map[string]int),
-		rejectedEvents:  make(map[string]int),
-		role:            role,
-		start:           time.Now(),
+		rejectedBatches:  make(map[string]int),
+		rejectedEvents:   make(map[string]int),
+		rejectedByClient: make(map[string]int),
+		role:             role,
+		start:            time.Now(),
 	}
 	for d := range c.stable {
 		c.stable[d] = make(map[string]int)
@@ -377,6 +380,7 @@ func (c *Coordinator) IngestFrom(ctx context.Context, client string, events []da
 			c.admMu.Lock()
 			c.rejectedBatches[string(rej.Reason)]++
 			c.rejectedEvents[string(rej.Reason)] += len(events)
+			c.rejectedByClient[client]++
 			c.admMu.Unlock()
 			return rej
 		}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/admission"
 	"repro/internal/bcluster"
@@ -732,5 +733,61 @@ func TestAdmissionLedgerCountsEachEventOnce(t *testing.T) {
 				t.Fatalf("client-a charged %d refusals, want the 1 deadline refusal (clients %+v)", charged, st.Clients)
 			}
 		})
+	}
+}
+
+// TestRateLimitedBatchChargedToClient: a batch the rate limiter refuses
+// is charged to its client's rejected_batches at every shard count —
+// above one shard the shared ledger refuses it before any shard sees it.
+func TestRateLimitedBatchChargedToClient(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		cfg := coordConfig(8, shards)
+		cfg.Stream.StatsClients = true
+		cfg.Stream.Admission = admission.Config{RatePerSec: 0.001, Burst: 10}
+		c := newCoordinator(t, cfg)
+		ctx := context.Background()
+		events := cleanCorpus(20)
+		if err := c.IngestFrom(ctx, "client-a", events[:10]); err != nil {
+			t.Fatalf("%d shards: first batch: %v", shards, err)
+		}
+		if _, ok := admission.AsRejection(c.IngestFrom(ctx, "client-a", events[10:])); !ok {
+			t.Fatalf("%d shards: the second batch was not rate limited", shards)
+		}
+		if err := c.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want := []stream.ClientStat{{Client: "client-a", Events: 10, Samples: 10, RejectedBatches: 1}}
+		if got := c.Stats().Aggregate.Clients; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d shards: clients %+v, want %+v", shards, got, want)
+		}
+	}
+}
+
+// TestInternedProfilesShareAcrossShards: samples that behaved alike
+// hold one interned name list, whichever shard holds them.
+func TestInternedProfilesShareAcrossShards(t *testing.T) {
+	c := newCoordinator(t, coordConfig(8, 4))
+	feed(t, c, cleanCorpus(120), 10)
+	byVariant := map[string]*string{}
+	shardsOf := map[string]map[int]bool{}
+	for i := 0; i < c.Shards(); i++ {
+		for _, smp := range c.Shard(i).Dataset().Samples() {
+			p := unsafe.SliceData(smp.Profile)
+			if q, ok := byVariant[smp.TruthVariant]; ok && q != p {
+				t.Fatalf("two samples of variant %s hold two name lists", smp.TruthVariant)
+			}
+			byVariant[smp.TruthVariant] = p
+			if shardsOf[smp.TruthVariant] == nil {
+				shardsOf[smp.TruthVariant] = map[int]bool{}
+			}
+			shardsOf[smp.TruthVariant][i] = true
+		}
+	}
+	spread := false
+	for _, on := range shardsOf {
+		spread = spread || len(on) > 1
+	}
+	if len(byVariant) != 3 || !spread || byVariant["v0"] == byVariant["v1"] {
+		t.Fatalf("premise: want three variants with distinct lists, one spread over shards (%v)", shardsOf)
 	}
 }

@@ -441,8 +441,13 @@ func (c *Coordinator) Stats() Stats {
 	}
 
 	// The shared ledger's rate-limit refusals never reached a shard, so
-	// they add to the refusals the shards counted themselves.
+	// they add to the refusals the shards counted themselves, and to the
+	// client's own count. Clients are listed as one shard lists them:
+	// those with a ledger on some shard.
 	c.admMu.Lock()
+	for i := range agg.Clients {
+		agg.Clients[i].RejectedBatches += c.rejectedByClient[agg.Clients[i].Client]
+	}
 	for k, v := range c.rejectedBatches {
 		if agg.Admission.RejectedBatches == nil {
 			agg.Admission.RejectedBatches = map[string]int{}

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -243,5 +244,69 @@ func TestCheckpointAllocations(t *testing.T) {
 	}
 	if alloc*2 >= uint64(fi.Size()) {
 		t.Fatalf("checkpoint of %d bytes allocated %d bytes, want < half", fi.Size(), alloc)
+	}
+}
+
+// pinEnricher gives each sample of variant v a profile of six features
+// that need JSON escapes plus one that every variant shares, and the
+// samples of variant "empty" an executed, empty profile and no AV label,
+// so their checkpoint record carries nothing but the MD5.
+type pinEnricher struct{}
+
+func (pinEnricher) LabelSample(s *dataset.Sample) error {
+	if s.TruthVariant != "empty" {
+		s.AVLabel = "Pin." + s.TruthVariant
+	}
+	return nil
+}
+
+func (pinEnricher) ExecuteSample(s *dataset.Sample) (*behavior.Profile, bool, error) {
+	p := behavior.NewProfile()
+	if s.TruthVariant == "empty" {
+		return p, false, nil
+	}
+	for k := 0; k < 6; k++ {
+		p.Add(fmt.Sprintf("reg<%s>&\"k%d\"\\ü\u2028", s.TruthVariant, k))
+	}
+	p.Add(`file-create|C:\shared.exe`)
+	return p, false, nil
+}
+
+// TestCheckpointBytesPinned pins the checkpoint of a fixed corpus, mid-
+// stream and flushed, to the SHA-256 sums recorded before profiles were
+// interned: interning changes what the service holds, not what it
+// writes.
+func TestCheckpointBytesPinned(t *testing.T) {
+	const (
+		wantMid   = "102092b14a99b9ae574b87cff9fefcae0acef36fa8117fc6b1a8a2c7f8d093ce"
+		wantFinal = "b4847019359aed02e9e92055ae32447e299577697fa9b8f62d9a5fd949108a1d"
+	)
+	cfg, dir := durable(t, testConfig(8))
+	svc, err := stream.New(cfg, pinEnricher{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	variants := []string{"v0", "v1", "empty", "v2", "v3"}
+	events := make([]dataset.Event, 0, 60)
+	for i := 0; i < 60; i++ {
+		e := testEvent(i, variants[i%5])
+		e.Sample.MD5 = fmt.Sprintf("md5-%s-%d", variants[i%5], i%4)
+		events = append(events, e)
+	}
+	mid, final := ingestHalves(t, "pinned", svc, dir, events,
+		func(evs []dataset.Event) error { return svc.Ingest(ctx, evs) })
+	if !bytes.Contains(final, []byte(`{"md5":"md5-empty-0"}`)) {
+		t.Error("the executed sample with an empty profile has no bare checkpoint record")
+	}
+	for _, c := range []struct {
+		name string
+		blob []byte
+		want string
+	}{{"mid-stream", mid, wantMid}, {"flushed", final, wantFinal}} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.blob)); got != c.want {
+			t.Errorf("%s checkpoint sha256 %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/bcluster"
+	"repro/internal/behavior"
 	"repro/internal/ckpt"
 	"repro/internal/dataset"
 	"repro/internal/epm"
@@ -727,14 +728,17 @@ func (s *Service) recover() error {
 // dataset (and instances out of them), sample records onto their
 // samples, EPM clusterings re-derive by deterministic re-discovery at
 // the recorded watermarks, and the B partition from its inputs. Only
-// the small fields decode whole. Keys may come in any order, except
-// that sample records must follow the events that introduce them.
+// the small fields decode whole. Each sample profile and each B input's
+// features are interned as they are decoded, so the decoded strings of
+// a profile seen before are dropped at once. Keys may come in any order,
+// except that sample records must follow the events that introduce them.
 func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 	var (
-		cp     checkpointFile // Version, Seq and the small fields; B.Inputs
+		cp     checkpointFile // Version, Seq and the small fields; B.Inputs, interned
 		dimIns [3][]epm.Instance
 		e      dataset.Event
 		se     sampleEnrichment
+		in     bcluster.IncrementalInput
 	)
 	checkVersion := func() error {
 		if cp.Version != checkpointVersion {
@@ -777,7 +781,14 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 				if smp == nil {
 					return fmt.Errorf("stream: checkpoint enriches unknown sample %s", se.MD5)
 				}
-				smp.AVLabel, smp.AVLabels, smp.Profile = se.AVLabel, se.AVLabels, se.Profile
+				smp.AVLabel, smp.AVLabels, smp.Profile = se.AVLabel, se.AVLabels, nil
+				if se.Profile != nil {
+					set, err := behavior.InternFeatures(se.Profile)
+					if err != nil {
+						return fmt.Errorf("stream: checkpoint profile of %s: %w", se.MD5, err)
+					}
+					smp.Profile = set.Names()
+				}
 				return nil
 			})
 		case "counters":
@@ -789,8 +800,18 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 				switch key {
 				case "inputs":
 					return decodeArray(dec, func() error {
-						cp.B.Inputs = append(cp.B.Inputs, bcluster.IncrementalInput{})
-						return dec.Decode(&cp.B.Inputs[len(cp.B.Inputs)-1])
+						in = bcluster.IncrementalInput{Features: in.Features[:0]}
+						if err := dec.Decode(&in); err != nil {
+							return err
+						}
+						set, err := behavior.InternFeatures(in.Features)
+						if err != nil {
+							return fmt.Errorf("stream: checkpoint B input %s: %w", in.ID, err)
+						}
+						rec := in
+						rec.Features, rec.Set = nil, set
+						cp.B.Inputs = append(cp.B.Inputs, rec)
+						return nil
 					})
 				case "integrated":
 					return dec.Decode(&cp.B.Integrated)

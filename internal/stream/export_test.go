@@ -100,3 +100,20 @@ func MarshalCheckpoint(s *Service) []byte {
 	}
 	return append(blob, fmt.Sprintf("\n#checkpoint-crc32 %08x\n", crc32.ChecksumIEEE(blob))...)
 }
+
+// BInputNames maps each B input's ID to the feature list its checkpoint
+// record carries, uncopied: the interned set's shared names.
+func BInputNames(s *Service) map[string][]string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string][]string, s.b.Samples())
+	s.b.EachInput(func(in *bcluster.IncrementalInput) { out[in.ID] = in.Features })
+	return out
+}
+
+// FreshBResult assembles the B partition anew, past the query cache.
+func FreshBResult(s *Service) *bcluster.Result {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.b.Result()
+}

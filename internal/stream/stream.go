@@ -172,6 +172,11 @@ type Service struct {
 	ds   *dataset.Dataset
 	dims [3]*dimension
 	b    *bcluster.Incremental
+	// bres caches b's assembled partition under the state it reads (see
+	// bResult). Queries hold only the read lock, so it has its own mutex.
+	bresMu  sync.Mutex
+	bresKey bResultKey
+	bres    *bcluster.Result
 	// restored marks a replica that RestoreSnapshot bootstrapped. With
 	// applySeq it is the bootstrap's freshness check: a replica applies
 	// records only at seq 1 and up, but a checkpoint the primary wrote
@@ -651,21 +656,30 @@ func (s *Service) applyBatch(client string, events []dataset.Event, depth int) {
 	s.mu.Unlock()
 }
 
-// outcome is one sandbox execution's result.
+// outcome is one sandbox execution's result: the profile and its
+// interned set.
 type outcome struct {
 	profile  *behavior.Profile
+	set      *behavior.Set
 	degraded bool
 	err      error
 }
 
-// runExecs runs the sandbox executions on a bounded pool. They are
-// slow, read-only with respect to query-visible state, and
-// deterministic per sample, so they run outside the service lock.
+// runExecs runs the sandbox executions on a bounded pool and interns
+// each profile there. They are slow, read-only with respect to
+// query-visible state, and deterministic per sample, so they run outside
+// the service lock; the locked apply then finds each profile interned.
+// A feature hash collision fails the execution, which quarantines the
+// sample.
 func (s *Service) runExecs(samples []*dataset.Sample) []outcome {
 	outs := make([]outcome, len(samples))
 	parallelEach(len(samples), s.cfg.Parallelism, func(i int) {
 		p, d, err := s.enricher.ExecuteSample(samples[i])
-		outs[i] = outcome{profile: p, degraded: d, err: err}
+		var set *behavior.Set
+		if err == nil {
+			set, err = behavior.Intern(p)
+		}
+		outs[i] = outcome{profile: p, set: set, degraded: d, err: err}
 	})
 	return outs
 }
@@ -687,7 +701,7 @@ func (s *Service) applyExecResults(samples []*dataset.Sample, outs []outcome) {
 		if outs[i].degraded {
 			s.degraded++
 		}
-		smp.Profile = outs[i].profile.Features()
+		smp.Profile = outs[i].set.Names()
 		if s.b.Has(smp.MD5) {
 			if err := s.b.Amend(smp.MD5, outs[i].profile); err != nil {
 				// Already verified: its links are frozen. The refreshed
@@ -1186,7 +1200,7 @@ type BView struct {
 func (s *Service) BClusters() BView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	res := s.b.Result()
+	res := s.bResult()
 	out := make([]BClusterView, len(res.Clusters))
 	for i, c := range res.Clusters {
 		out[i] = BClusterView{ID: c.ID, Representative: c.Members[0], Size: c.Size()}
@@ -1250,7 +1264,7 @@ func (s *Service) SampleIn(md5 string, views Membership) (SampleView, bool) {
 		if views != nil {
 			v.BRepresentative, v.BSize = views.BCluster(md5)
 		} else {
-			res := s.b.Result()
+			res := s.bResult()
 			if i := res.ClusterOf(md5); i >= 0 {
 				v.BRepresentative = res.Clusters[i].Members[0]
 				v.BSize = res.Clusters[i].Size()
@@ -1479,12 +1493,37 @@ func (s *Service) EPMClustering(name string) (*epm.Clustering, error) {
 	return d.clustering, nil
 }
 
-// BResult assembles the current behavioral partition (see
-// bcluster.Incremental.Result).
+// BResult returns the current behavioral partition (see
+// bcluster.Incremental.Result). It is shared with later queries until
+// the partition moves: callers must treat it as read-only.
 func (s *Service) BResult() *bcluster.Result {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.b.Result()
+	return s.bResult()
+}
+
+// bResultKey is the state b.Result reads: the engine, with its Samples
+// and Epochs counters. Only Add (which moves Samples) and Verify (which
+// moves Epochs; with nothing parked it is a no-op) change the sample
+// IDs, the union-find or the probe stats. Amend and DrainHeld touch only
+// a parked sample's set and the defense statuses, which Result does not
+// read, and a restore replaces the engine. The key holds the engine
+// itself, so a later engine cannot reuse its address.
+type bResultKey struct {
+	b               *bcluster.Incremental
+	samples, epochs int
+}
+
+// bResult returns b.Result(), assembled again only when the key moved.
+// Callers hold at least the read lock.
+func (s *Service) bResult() *bcluster.Result {
+	key := bResultKey{s.b, s.b.Samples(), s.b.Epochs()}
+	s.bresMu.Lock()
+	defer s.bresMu.Unlock()
+	if s.bres == nil || s.bresKey != key {
+		s.bres, s.bresKey = s.b.Result(), key
+	}
+	return s.bres
 }
 
 // Dataset exposes the accumulated dataset for reporting after ingestion

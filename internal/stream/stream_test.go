@@ -3,6 +3,9 @@ package stream_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -243,5 +246,126 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := stream.New(stream.DefaultConfig(), nil); err == nil {
 		t.Fatal("nil enricher must error")
+	}
+}
+
+// dayEnricher profiles a sample by its variant and the day it was first
+// seen, so a late event that moves the first sighting back changes the
+// profile of a sample still parked, and the service amends it.
+type dayEnricher struct{}
+
+func (dayEnricher) LabelSample(s *dataset.Sample) error { return nil }
+
+func (dayEnricher) ExecuteSample(s *dataset.Sample) (*behavior.Profile, bool, error) {
+	p := behavior.NewProfile()
+	for k := 0; k < 6; k++ {
+		p.Add(fmt.Sprintf("%s-beh%d", s.TruthVariant, k))
+	}
+	p.Add("day-" + s.FirstSeen.Format("20060102"))
+	return p, false, nil
+}
+
+// TestBResultCacheFollowsEveryMutation drives a defended service and a
+// replica through batches, B epochs, an amending late event, a flush
+// with its drain, and a snapshot restore, and requires after every step
+// that the cached B views equal a freshly assembled partition.
+func TestBResultCacheFollowsEveryMutation(t *testing.T) {
+	cfg := testConfig(8)
+	cfg.Defense = stream.Defense{MergeResistance: 3, DisagreeQuorum: 3}
+	check := func(label string, svc *stream.Service) {
+		t.Helper()
+		fresh := stream.FreshBResult(svc)
+		got := svc.BResult()
+		if !reflect.DeepEqual(got.Clusters, fresh.Clusters) || got.Stats != fresh.Stats {
+			t.Fatalf("%s: BResult serves a stale partition", label)
+		}
+		if svc.BResult() != got {
+			t.Fatalf("%s: an unchanged partition was assembled again", label)
+		}
+		view := svc.BClusters()
+		if len(view.Clusters) != len(fresh.Clusters) {
+			t.Fatalf("%s: BClusters has %d clusters, a fresh Result %d", label, len(view.Clusters), len(fresh.Clusters))
+		}
+		for i, c := range fresh.Clusters {
+			if v := view.Clusters[i]; v.ID != c.ID || v.Representative != c.Members[0] || v.Size != c.Size() {
+				t.Fatalf("%s: BClusters cluster %d %+v, fresh %+v", label, i, v, c)
+			}
+		}
+		for _, smp := range svc.Dataset().Samples() {
+			v, _ := svc.Sample(smp.MD5)
+			i := fresh.ClusterOf(smp.MD5)
+			if i < 0 {
+				if v.BSize != 0 {
+					t.Fatalf("%s: sample %s reports B size %d outside the partition", label, smp.MD5, v.BSize)
+				}
+				continue
+			}
+			if c := fresh.Clusters[i]; v.BRepresentative != c.Members[0] || v.BSize != c.Size() {
+				t.Fatalf("%s: sample %s in cluster (%s, %d), fresh (%s, %d)", label, smp.MD5, v.BRepresentative, v.BSize, c.Members[0], c.Size())
+			}
+		}
+	}
+	dir := t.TempDir()
+	cfg.Durability = stream.Durability{Dir: dir, NoSync: true}
+	svc, err := stream.New(cfg, dayEnricher{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	var events []dataset.Event
+	for i := 0; i < 60; i++ {
+		e := testEvent(i, fmt.Sprintf("v%d", i%3))
+		e.Time = e.Time.Add(time.Duration(i) * 24 * time.Hour)
+		e.Sample.MD5 = fmt.Sprintf("md5-%02d", i%30)
+		events = append(events, e)
+	}
+	step := func(label string, err error) {
+		t.Helper()
+		if err == nil {
+			err = svc.Sync(ctx)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		check(label, svc)
+	}
+	for lo := 0; lo < 30; lo += 5 {
+		step(fmt.Sprintf("batch at %d", lo), svc.Ingest(ctx, events[lo:lo+5]))
+	}
+	// md5-29 arrived last and is still parked: a sighting a month
+	// earlier re-executes it on another day, and the service amends it.
+	late := testEvent(1000, "v2")
+	late.Sample.MD5, late.Time = "md5-29", events[29].Time.AddDate(0, -1, 0)
+	before := svc.Stats()
+	step("late event", svc.Ingest(ctx, []dataset.Event{late}))
+	if after := svc.Stats(); after.Executed != before.Executed+1 || after.StaleProfiles != 0 || after.B.Samples != before.B.Samples {
+		t.Fatalf("the late event did not amend a parked sample: before %+v after %+v", before.B, after.B)
+	}
+	for lo := 30; lo < 60; lo += 10 {
+		step(fmt.Sprintf("batch at %d", lo), svc.Ingest(ctx, events[lo:lo+10]))
+	}
+	step("flush and drain", svc.Flush(ctx))
+	if err := svc.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := stream.NewReplica(cfg, dayEnricher{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	check("empty replica", rep)
+	f, err := os.Open(filepath.Join(dir, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := rep.RestoreSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	check("restored replica", rep)
+	if !reflect.DeepEqual(rep.BClusters(), svc.BClusters()) {
+		t.Fatal("the restored replica serves another B view than its primary")
 	}
 }

@@ -167,6 +167,9 @@ type CorruptError struct {
 	// Offset is the byte offset of the offending frame.
 	Offset int64
 	Reason string
+	// Torn marks a bad segment frame that runs to the end of its file:
+	// the shape an interrupted append leaves.
+	Torn bool
 }
 
 func (e *CorruptError) Error() string {
@@ -250,7 +253,7 @@ type VerifyError struct {
 	Path string
 	// Repairable marks a torn tail on the newest segment — the one
 	// shape Open repairs automatically on the next start; anything else
-	// is real corruption.
+	// is real corruption or a read error, and Open refuses it.
 	Repairable bool
 	Err        error
 }
@@ -282,7 +285,9 @@ func VerifyDir(dir string) (segments, records int, err error) {
 		tail := i == len(segs)-1
 		lastSeq, _, n, serr := scanSegment(fs, path, first, 0, nil)
 		if serr != nil {
-			return segments, records, &VerifyError{Path: path, Repairable: tail, Err: serr}
+			var ce *CorruptError
+			repairable := tail && errors.As(serr, &ce) && ce.Torn
+			return segments, records, &VerifyError{Path: path, Repairable: repairable, Err: serr}
 		}
 		if n == 0 && !tail {
 			return segments, records, &VerifyError{Path: path, Err: errors.New("empty segment is not the newest")}

@@ -10,9 +10,12 @@
 //
 // where length = 8 + len(payload) and the CRC (IEEE) covers seq and
 // payload. A crash can tear only the tail of the last segment; Open
-// detects the torn frame (short frame or CRC mismatch) and truncates
-// the file back to the last intact record. Corruption anywhere else is
-// unrecoverable and reported as an error.
+// detects the torn frame (a bad frame that runs to the end of the file)
+// and truncates the file back to the last intact record. A bad frame
+// with data after it, or one in a sealed segment, is corruption and a
+// read that keeps failing is an I/O error: Open refuses both with a
+// typed error (*CorruptError, *IOError) rather than cut acknowledged
+// records away.
 //
 // Sequence numbers start at 1 and are strictly contiguous across
 // segments. TruncateBefore removes sealed segments that a checkpoint
@@ -98,13 +101,16 @@ func Open(opts Options) (*Log, error) {
 		lastSeq, good, n, err := scanSegment(fs, l.segmentPath(first), first, 0, nil)
 		tail := i == len(segs)-1
 		if err != nil {
-			if !tail {
+			var ce *CorruptError
+			if !tail || !errors.As(err, &ce) || !ce.Torn {
+				// A read error, or a bad frame with data after it: the
+				// acknowledged records may be intact, so refuse to cut.
 				return nil, fmt.Errorf("wal: segment %020d: %w", first, err)
 			}
-			// Torn tail: drop the partial frame and anything after it, and
-			// make the repair itself durable before appends resume — an
-			// unsynced truncate could resurrect the torn bytes after a
-			// crash and poison the next recovery.
+			// Torn tail: drop the partial frame, and make the repair
+			// itself durable before appends resume — an unsynced
+			// truncate could resurrect the torn bytes after a crash and
+			// poison the next recovery.
 			if terr := fs.Truncate(l.segmentPath(first), good); terr != nil {
 				return nil, fmt.Errorf("wal: repairing segment %020d: %w", first, terr)
 			}
@@ -359,43 +365,49 @@ func listSegments(fs faultfs.FS, dir string) ([]uint64, error) {
 	return segs, nil
 }
 
+// ioAttempts bounds how often a segment read is tried before an I/O
+// error is reported: a transient EIO must not fail recovery, and a
+// persistent one must not hang it.
+const ioAttempts = 3
+
+// IOError reports a segment the log could not open or read, after
+// ioAttempts tries. The bytes on disk may be intact, so Open refuses the
+// log instead of truncating it.
+type IOError struct {
+	Path string
+	Err  error
+}
+
+func (e *IOError) Error() string {
+	return fmt.Sprintf("wal: %s: read failed after %d attempts: %v", e.Path, ioAttempts, e.Err)
+}
+
+func (e *IOError) Unwrap() error { return e.Err }
+
 // scanSegment reads one segment, validating frame integrity and seq
 // contiguity, and calls fn (when non-nil) for every record with
 // seq >= from. It returns the last seq read, the byte offset of the end
-// of the last intact record, and the record count; a torn or corrupt
-// frame is reported as an error with good set to the repair offset.
+// of the last intact record, and the record count.
+//
+// The diagnosis of a failure:
+//   - an open or read error is retried from the last intact record, and
+//     after ioAttempts tries is returned as an *IOError;
+//   - a bad frame (cut short, or a bad length, CRC or seq) is read once
+//     more, since a read can flip a bit the disk does not hold, and only
+//     then returned as a *CorruptError, with Torn set when the frame runs
+//     to the end of the file — the one shape an interrupted append
+//     leaves, which Open may cut away at good.
 func scanSegment(fs faultfs.FS, path string, firstSeq, from uint64, fn func(uint64, []byte) error) (last uint64, good int64, n int, err error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	r := &segmentReader{fs: fs, path: path}
+	defer r.close()
 	expect := firstSeq
-	var header [headerSize]byte
 	for {
-		if _, err := io.ReadFull(br, header[:]); err != nil {
-			if err == io.EOF {
-				return last, good, n, nil
-			}
-			return last, good, n, fmt.Errorf("torn frame header at offset %d", good)
+		seq, payload, ferr := r.frame(good, expect)
+		if ferr == io.EOF {
+			return last, good, n, nil
 		}
-		length := binary.BigEndian.Uint32(header[0:4])
-		if length < 8 || int64(length) > maxRecordBytes {
-			return last, good, n, fmt.Errorf("implausible frame length %d at offset %d", length, good)
-		}
-		payload := make([]byte, length-8)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return last, good, n, fmt.Errorf("torn frame payload at offset %d", good)
-		}
-		crc := crc32.ChecksumIEEE(header[8:])
-		crc = crc32.Update(crc, crc32.IEEETable, payload)
-		if crc != binary.BigEndian.Uint32(header[4:8]) {
-			return last, good, n, fmt.Errorf("crc mismatch at offset %d", good)
-		}
-		seq := binary.BigEndian.Uint64(header[8:16])
-		if seq != expect {
-			return last, good, n, fmt.Errorf("record seq %d at offset %d, want %d", seq, good, expect)
+		if ferr != nil {
+			return last, good, n, ferr
 		}
 		if fn != nil && seq >= from {
 			if err := fn(seq, payload); err != nil {
@@ -406,5 +418,170 @@ func scanSegment(fs faultfs.FS, path string, firstSeq, from uint64, fn func(uint
 		expect = seq + 1
 		good += int64(headerSize + len(payload))
 		n++
+	}
+}
+
+// segmentReader reads one segment front to back, reopening it at the
+// frame being read after a failed open or read, and reading a bad frame
+// a second time before believing it.
+type segmentReader struct {
+	fs   faultfs.FS
+	path string
+	f    faultfs.File
+	br   *bufio.Reader
+}
+
+func (r *segmentReader) close() {
+	if r.f != nil {
+		r.f.Close()
+		r.f = nil
+	}
+}
+
+// seek (re)opens the file positioned at off.
+func (r *segmentReader) seek(off int64) error {
+	f, err := r.fs.Open(r.path)
+	if err != nil {
+		return err
+	}
+	if r.br == nil {
+		r.br = bufio.NewReaderSize(f, 1<<20)
+	} else {
+		r.br.Reset(f)
+	}
+	r.f = f
+	if _, err := io.CopyN(io.Discard, r.br, off); err != nil {
+		r.close()
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the file ends before frames it held
+		}
+		return err
+	}
+	return nil
+}
+
+// badFrame is a frame that does not verify.
+type badFrame struct {
+	reason string
+	// cut marks a frame the end of the file cut short. end is where a
+	// whole frame ends; 0 when its length is implausible.
+	cut bool
+	end int64
+}
+
+// frame returns the frame at off, which must carry seq expect. io.EOF
+// reports a clean end at a frame boundary.
+func (r *segmentReader) frame(off int64, expect uint64) (uint64, []byte, error) {
+	var bad *badFrame
+	for ioErrs := 0; ; {
+		seq, payload, b, err := r.read(off, expect)
+		switch {
+		case err == io.EOF:
+			return 0, nil, io.EOF
+		case err != nil:
+			r.close()
+			if ioErrs++; ioErrs == ioAttempts {
+				return 0, nil, &IOError{Path: r.path, Err: err}
+			}
+		case b == nil:
+			return seq, payload, nil
+		case bad == nil:
+			// Read it again from disk before believing it.
+			bad = b
+			r.close()
+		default:
+			return 0, nil, r.corrupt(off, b)
+		}
+	}
+}
+
+// read reads the frame at off, (re)opening the file there first when
+// it is not open. A frame that does not verify is returned as a
+// *badFrame; err carries only io.EOF at a frame boundary and open or
+// read errors.
+func (r *segmentReader) read(off int64, expect uint64) (uint64, []byte, *badFrame, error) {
+	if r.f == nil {
+		if err := r.seek(off); err != nil {
+			return 0, nil, nil, err
+		}
+	}
+	var header [headerSize]byte
+	if _, err := io.ReadFull(r.br, header[:]); err != nil {
+		if err == io.EOF {
+			return 0, nil, nil, io.EOF
+		}
+		if err == io.ErrUnexpectedEOF {
+			return 0, nil, &badFrame{reason: "torn frame header", cut: true}, nil
+		}
+		return 0, nil, nil, err
+	}
+	length := binary.BigEndian.Uint32(header[0:4])
+	if length < 8 || int64(length) > maxRecordBytes {
+		return 0, nil, &badFrame{reason: fmt.Sprintf("implausible frame length %d", length)}, nil
+	}
+	end := off + headerSize - 8 + int64(length)
+	payload := make([]byte, length-8)
+	if _, err := io.ReadFull(r.br, payload); err != nil {
+		if err == io.ErrUnexpectedEOF || err == io.EOF {
+			return 0, nil, &badFrame{reason: "torn frame payload", cut: true}, nil
+		}
+		return 0, nil, nil, err
+	}
+	crc := crc32.ChecksumIEEE(header[8:])
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	if crc != binary.BigEndian.Uint32(header[4:8]) {
+		return 0, nil, &badFrame{reason: "crc mismatch", end: end}, nil
+	}
+	if seq := binary.BigEndian.Uint64(header[8:16]); seq != expect {
+		return 0, nil, &badFrame{reason: fmt.Sprintf("record seq %d, want %d", seq, expect), end: end}, nil
+	}
+	return expect, payload, nil, nil
+}
+
+// corrupt classifies a bad frame at off that a second read confirmed. It
+// is torn when it runs to the end of the file: it was cut short, its
+// length reaches the end, or every byte from it to the end is zero (a
+// file extended before its data landed). Anything else has intact data
+// after it, and cutting there would drop acknowledged records.
+func (r *segmentReader) corrupt(off int64, b *badFrame) error {
+	ce := &CorruptError{Path: r.path, Offset: off, Reason: b.reason}
+	r.close()
+	fi, err := r.fs.Stat(r.path)
+	if err != nil {
+		return &IOError{Path: r.path, Err: err}
+	}
+	switch {
+	case b.cut, b.end == fi.Size():
+		ce.Torn = true
+	default:
+		zero, err := r.zeroFrom(off)
+		if err != nil {
+			return &IOError{Path: r.path, Err: err}
+		}
+		ce.Torn = zero
+	}
+	return ce
+}
+
+// zeroFrom reports whether every byte from off to the end is zero.
+func (r *segmentReader) zeroFrom(off int64) (bool, error) {
+	if err := r.seek(off); err != nil {
+		return false, err
+	}
+	defer r.close()
+	buf := make([]byte, 32<<10)
+	for {
+		k, err := r.br.Read(buf)
+		for _, c := range buf[:k] {
+			if c != 0 {
+				return false, nil
+			}
+		}
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil {
+			return false, err
+		}
 	}
 }

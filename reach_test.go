@@ -37,6 +37,7 @@ var keptUnreached = map[string]string{
 	"epm.Clustering.TotalInvariants":  "the per-dimension Table 1 total that bench_test.go's invariant benchmarks report",
 	"stream.Service.EPMClustering":    "the member lists that the stream ≡ batch and admission convergence tests compare; the served EPMClusters view carries only sizes",
 	"shard.Coordinator.EPMClustering": "the member lists that the N-shard ≡ 1-shard tests compare; the served EPMClusters view carries only sizes",
+	"behavior.Profile.Features":       "the sorted feature list bench/synth's TestEnricherIsAFunctionOfTheEvent compares; binaries read an interned Set's names instead",
 }
 
 // stdlibMethods are method names that the standard library calls
