@@ -300,6 +300,17 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	if !bytes.Contains(final, []byte(`{"md5":"md5-empty-0"}`)) {
 		t.Error("the executed sample with an empty profile has no bare checkpoint record")
 	}
+	// A service recovered from that checkpoint writes it again, byte for
+	// byte.
+	svc.Close()
+	re, err := stream.New(cfg, pinEnricher{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if again := checkpointMatchesOracle(t, "recovered", re, dir); !bytes.Equal(again, final) {
+		t.Error("the recovered service's checkpoint differs from the one it recovered from")
+	}
 	for _, c := range []struct {
 		name string
 		blob []byte

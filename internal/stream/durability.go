@@ -782,7 +782,9 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 					return fmt.Errorf("stream: checkpoint enriches unknown sample %s", se.MD5)
 				}
 				smp.AVLabel, smp.AVLabels, smp.Profile = se.AVLabel, se.AVLabels, nil
-				if se.Profile != nil {
+				// Only a sample with a label or a profile gets a record, so a
+				// bare one stands for an executed sample whose profile was empty.
+				if se.Profile != nil || se.AVLabel == "" && len(se.AVLabels) == 0 {
 					set, err := behavior.InternFeatures(se.Profile)
 					if err != nil {
 						return fmt.Errorf("stream: checkpoint profile of %s: %w", se.MD5, err)
