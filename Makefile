@@ -235,8 +235,11 @@ smoke-poison:
 	go test -count=1 -run 'TestSweepDefenseRecovery|TestDefendedServiceLedgerAndDrain' -v ./internal/poison/
 
 # Short coverage-guided fuzz of the ingest decode -> validate -> apply
-# path (FuzzIngestPipeline). The minimize budget is capped in execs so a
+# path (FuzzIngestPipeline) and of checkpoint restore, in both framings
+# (FuzzRestoreCheckpoint). The minimize budget is capped in execs so a
 # noisy-coverage input cannot eat the whole fuzz window.
 fuzz-smoke:
 	go test -count=1 -run '^$$' -fuzz FuzzIngestPipeline -fuzztime 30s \
 		-fuzzminimizetime 20x ./internal/httpapi/
+	go test -count=1 -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 30s \
+		-fuzzminimizetime 20x ./internal/stream/

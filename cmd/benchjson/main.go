@@ -37,7 +37,9 @@
 // stream corpora only, writes nothing, and exits non-zero when ns/event
 // at 10k exceeds ns/event at 1k by more than guardMaxRatio — the
 // regression shape that incremental epochs are supposed to make
-// impossible.
+// impossible — when the 10k deployment's live heap per event passes
+// guardMaxHeapPerEvent, or when one checkpoint of the 10k corpus takes
+// more disk per event than guardMaxCheckpointPerEvent.
 package main
 
 import (
@@ -47,6 +49,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -57,6 +60,7 @@ import (
 	"repro/internal/bcluster"
 	"repro/internal/behavior"
 	"repro/internal/benchdata"
+	"repro/internal/ckpt"
 	"repro/internal/dataset"
 	"repro/internal/httpapi"
 	"repro/internal/loadgen"
@@ -124,6 +128,12 @@ type StreamEntry struct {
 	// after Close, so their rows measure a closed service (0.17–0.25 MB
 	// at every n).
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
+	// CheckpointBytes is the size on disk of one checkpoint of the
+	// replayed corpus, written after the final flush by a durable
+	// (NoSync) one-shard deployment in an untimed replay of its own.
+	// Rows at n=1k and 10k, one shard, carry it from the "post-pr33"
+	// campaign on.
+	CheckpointBytes int64 `json:"checkpoint_bytes,omitempty"`
 	// MaxQueueDepth is the deepest the bounded ingest queue ever got.
 	MaxQueueDepth int `json:"max_queue_depth"`
 	// EPMEpochs sums the ε/π/μ re-clustering epochs; EPMFullRegroups
@@ -146,6 +156,13 @@ const guardMaxRatio = 1.5
 // 3,462–3,472 bytes measured when behavioral profiles were first
 // interned. A count of live bytes does not drift with the host's speed.
 const guardMaxHeapPerEvent = 4340
+
+// guardMaxCheckpointPerEvent is -guard's disk canary: one checkpoint of
+// the n=10k corpus may take at most this many bytes per event on disk,
+// 1.25 times the 63.6 (826,434 bytes for 13,000 events) measured when
+// checkpoints were first compressed and wrote each behavior set once,
+// rounded down. A byte count does not drift with the host's speed.
+const guardMaxCheckpointPerEvent = 79
 
 func main() {
 	out := flag.String("o", "BENCH_bcluster.json", "output JSON path (merged in place; empty disables)")
@@ -353,6 +370,37 @@ func liveHeap() uint64 {
 	return mem.HeapAlloc
 }
 
+// measureCheckpoint replays the n-sample corpus, untimed, into a
+// durable one-shard deployment without fsyncs in a temporary directory,
+// checkpoints it once after the final flush, and returns the
+// checkpoint file's size.
+func measureCheckpoint(n int) (int64, error) {
+	dir, err := os.MkdirTemp("", "benchjson-ckpt-")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	cfg := stream.DefaultConfig()
+	cfg.Durability = stream.Durability{Dir: dir, NoSync: true}
+	c, err := shard.New(shard.Config{Stream: cfg}, &streamEnricher{noise: benchdata.NoiseCounts(n)})
+	if err != nil {
+		return 0, err
+	}
+	defer c.Close()
+	if err := replay(c, benchdata.StreamEvents(n)); err != nil {
+		return 0, err
+	}
+	if err := c.Checkpoint(context.Background()); err != nil {
+		return 0, err
+	}
+	shardDir, _ := c.Shard(0).ReplicationSource()
+	fi, err := os.Stat(filepath.Join(shardDir, ckpt.Name))
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
+}
+
 // readFanN is the corpus size of the read-fan-out measurement: large
 // enough that the served views have real weight, small enough that
 // bootstrapping the followers stays cheap.
@@ -447,6 +495,13 @@ func runStream(path, label string, shardCounts, replicaCounts []int) error {
 			if err != nil {
 				return err
 			}
+			if shards == 1 && n <= readFanN {
+				if e.CheckpointBytes, err = measureCheckpoint(n); err != nil {
+					return err
+				}
+				fmt.Printf("%s/stream-%d/shards-%d\tcheckpoint %d bytes (%d B/event)\n",
+					label, n, shards, e.CheckpointBytes, e.CheckpointBytes/int64(e.Events))
+			}
 			entries = upsertStream(entries, e)
 		}
 	}
@@ -504,8 +559,9 @@ func upsertStream(entries []StreamEntry, e StreamEntry) []StreamEntry {
 }
 
 // runGuard is the CI canary: flat per-event cost means the 10k point
-// stays within guardMaxRatio of the 1k point, and the 10k deployment's
-// live heap stays within guardMaxHeapPerEvent.
+// stays within guardMaxRatio of the 1k point, the 10k deployment's live
+// heap stays within guardMaxHeapPerEvent, and its checkpoint within
+// guardMaxCheckpointPerEvent.
 func runGuard() error {
 	base := liveHeap()
 	small, err := measureStream("guard", 1000, 1, base)
@@ -527,6 +583,15 @@ func runGuard() error {
 	fmt.Printf("guard: live heap %d bytes/event at n=10k (limit %d)\n", perEvent, guardMaxHeapPerEvent)
 	if perEvent > guardMaxHeapPerEvent {
 		return fmt.Errorf("live heap %d bytes/event at n=10k exceeds %d", perEvent, guardMaxHeapPerEvent)
+	}
+	ckptBytes, err := measureCheckpoint(10000)
+	if err != nil {
+		return err
+	}
+	ckptPerEvent := float64(ckptBytes) / float64(big.Events)
+	fmt.Printf("guard: checkpoint %.1f bytes/event at n=10k (limit %d)\n", ckptPerEvent, guardMaxCheckpointPerEvent)
+	if ckptPerEvent > guardMaxCheckpointPerEvent {
+		return fmt.Errorf("checkpoint %.1f bytes/event at n=10k exceeds %d", ckptPerEvent, guardMaxCheckpointPerEvent)
 	}
 	return nil
 }

@@ -7,18 +7,15 @@ import (
 )
 
 // IncrementalInput is one sample's persisted clustering input: the ID
-// and the (sorted) behavioral features its profile reduces to. Those
-// two fields determine the feature set, its prefix tokens, and therefore
-// the whole probe-and-link sequence. The defense fields (group,
-// distrust, status, hold pair) are populated only by defended
-// clusterers, so undefended snapshots serialize byte-identically to
-// snapshots taken before the defenses existed.
+// and the interned behavior set its profile reduces to. Those two fields
+// determine the feature set, its prefix tokens, and therefore the whole
+// probe-and-link sequence. The set is the caller's to serialize (a
+// checkpoint writes each distinct set once and refers to it). The
+// defense fields (group, distrust, status, hold pair) are populated
+// only by defended clusterers, and are omitted from the JSON when
+// unset.
 type IncrementalInput struct {
-	ID       string   `json:"id"`
-	Features []string `json:"features"`
-	// Set, when non-nil, is the interned set of Features, and
-	// RestoreIncremental reads it instead: a decoder that interns each
-	// input as it reads it need not keep the feature strings.
+	ID       string        `json:"id"`
 	Set      *behavior.Set `json:"-"`
 	Group    string        `json:"group,omitempty"`
 	Distrust float64       `json:"distrust,omitempty"`
@@ -42,9 +39,8 @@ type IncrementalState struct {
 }
 
 // EachInput calls fn with each input's persisted record, in arrival
-// order, without copying the clusterer's state: Features is the
-// interned set's shared name list. The record is reused between calls:
-// fn must not retain it or modify its slices.
+// order, without copying the clusterer's state. The record is reused
+// between calls: fn must not retain it or modify its slices.
 func (inc *Incremental) EachInput(fn func(*IncrementalInput)) {
 	var (
 		rec  IncrementalInput
@@ -53,7 +49,7 @@ func (inc *Incremental) EachInput(fn func(*IncrementalInput)) {
 	for i, in := range inc.inputs {
 		rec = IncrementalInput{
 			ID:       in.ID,
-			Features: in.Set.Names(),
+			Set:      in.Set,
 			Group:    in.Group,
 			Distrust: in.Distrust,
 		}
@@ -71,8 +67,8 @@ func (inc *Incremental) EachInput(fn func(*IncrementalInput)) {
 // RestoreIncremental rebuilds a clusterer from a State snapshot. The
 // membership partition is identical to the snapshotted instance. A
 // snapshot that cannot come from a clusterer — an unknown status, or a
-// hold pair that is not two integrated indices — is refused before
-// anything is rebuilt.
+// hold pair that is not two integrated indices, an input without a
+// set — is refused before anything is rebuilt.
 //
 // Undefended, the rebuild is byte-identical in full — partition,
 // index, and probe stats — because integration happens in strict
@@ -96,6 +92,9 @@ func RestoreIncremental(cfg Config, st IncrementalState) (*Incremental, error) {
 		return nil, fmt.Errorf("bcluster: restore watermark %d out of range [0,%d]", st.Integrated, len(st.Inputs))
 	}
 	for _, in := range st.Inputs {
+		if in.Set == nil {
+			return nil, fmt.Errorf("bcluster: restore: input %q has no behavior set", in.ID)
+		}
 		if in.Status > StatusDrained {
 			return nil, fmt.Errorf("bcluster: restore: input %q has unknown status %d", in.ID, in.Status)
 		}
@@ -107,14 +106,7 @@ func RestoreIncremental(cfg Config, st IncrementalState) (*Incremental, error) {
 		}
 	}
 	add := func(in IncrementalInput) error {
-		set := in.Set
-		if set == nil {
-			var err error
-			if set, err = behavior.InternFeatures(in.Features); err != nil {
-				return fmt.Errorf("input %q: %w", in.ID, err)
-			}
-		}
-		return inc.add(member{ID: in.ID, Set: set, Group: in.Group, Distrust: in.Distrust})
+		return inc.add(member{ID: in.ID, Set: in.Set, Group: in.Group, Distrust: in.Distrust})
 	}
 	if inc.def != nil {
 		inc.def.restoring = true

@@ -1,10 +1,11 @@
 package bcluster
 
 import (
-	"encoding/json"
 	"reflect"
 	"slices"
 	"testing"
+
+	"repro/internal/behavior"
 )
 
 // snapshot copies a clusterer's state out of the stream a checkpoint
@@ -13,7 +14,7 @@ func snapshot(inc *Incremental) IncrementalState {
 	st := IncrementalState{Inputs: []IncrementalInput{}, Integrated: inc.Samples() - inc.Pending(), Epochs: inc.Epochs()}
 	inc.EachInput(func(in *IncrementalInput) {
 		c := *in
-		c.Features, c.HoldPair = slices.Clone(in.Features), slices.Clone(in.HoldPair)
+		c.HoldPair = slices.Clone(in.HoldPair)
 		st.Inputs = append(st.Inputs, c)
 	})
 	return st
@@ -44,18 +45,7 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 	}
 
 	orig := build(200) // 3 full epochs + 20 parked
-	st := snapshot(orig)
-	// The snapshot must survive serialization: it is embedded in the
-	// streaming service's JSON checkpoint.
-	blob, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded IncrementalState
-	if err := json.Unmarshal(blob, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreIncremental(cfg, decoded)
+	restored, err := RestoreIncremental(cfg, snapshot(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +87,19 @@ func TestRestoreIncrementalValidation(t *testing.T) {
 	if _, err := RestoreIncremental(DefaultConfig(), IncrementalState{Integrated: 1}); err == nil {
 		t.Fatal("watermark beyond the inputs must error")
 	}
+	if _, err := RestoreIncremental(DefaultConfig(), IncrementalState{Inputs: []IncrementalInput{{ID: "a"}}}); err == nil {
+		t.Fatal("an input without a set must error")
+	}
+}
+
+// set interns a test feature list.
+func set(t *testing.T, names ...string) *behavior.Set {
+	t.Helper()
+	s, err := behavior.InternFeatures(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestRestoreIncrementalRejectsBadHoldPair: a held input whose hold pair
@@ -108,8 +111,8 @@ func TestRestoreIncrementalRejectsBadHoldPair(t *testing.T) {
 	for _, pair := range [][]int{{999999, 0}, {0, 2}, {-1, 0}, {0}, {0, 1, 1}} {
 		st := IncrementalState{
 			Inputs: []IncrementalInput{
-				{ID: "a", Features: []string{"f"}},
-				{ID: "b", Features: []string{"g"}, Status: StatusHeld, HoldPair: pair},
+				{ID: "a", Set: set(t, "f")},
+				{ID: "b", Set: set(t, "g"), Status: StatusHeld, HoldPair: pair},
 			},
 			Integrated: 2,
 			Epochs:     1,
@@ -125,7 +128,7 @@ func TestRestoreIncrementalRejectsBadHoldPair(t *testing.T) {
 // quarantined.
 func TestRestoreIncrementalRejectsUnknownStatus(t *testing.T) {
 	st := IncrementalState{
-		Inputs:     []IncrementalInput{{ID: "a", Features: []string{"f"}, Status: StatusDrained + 1}},
+		Inputs:     []IncrementalInput{{ID: "a", Set: set(t, "f"), Status: StatusDrained + 1}},
 		Integrated: 1,
 	}
 	for _, cfg := range []Config{DefaultConfig(), {Threshold: 0.7, GroupQuorum: 2}} {

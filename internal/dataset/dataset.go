@@ -17,8 +17,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/epm"
@@ -200,7 +201,7 @@ func (d *Dataset) Samples() []*Sample {
 	for _, s := range d.samples {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].MD5 < out[b].MD5 })
+	slices.SortFunc(out, func(a, b *Sample) int { return strings.Compare(a.MD5, b.MD5) })
 	return out
 }
 

@@ -435,9 +435,10 @@ func TestManifestAtomicity(t *testing.T) {
 	}
 }
 
-// bigCheckpoint builds a one-shard durable primary holding a multi-MiB
-// checkpoint and returns it with the checkpoint file's info.
-func bigCheckpoint(t *testing.T) (*primary, os.FileInfo) {
+// bigCheckpoint builds a one-shard durable primary holding a checkpoint
+// with a multi-MiB payload and returns it with the checkpoint file's info
+// and the payload's size.
+func bigCheckpoint(t *testing.T) (*primary, os.FileInfo, int64) {
 	t.Helper()
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -460,22 +461,23 @@ func bigCheckpoint(t *testing.T) (*primary, os.FileInfo) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() < 4<<20 {
-		t.Fatalf("checkpoint is only %d bytes; the guard needs a multi-MiB one", fi.Size())
+	payload := p.svc.Stats().WAL.LastCheckpointPayloadBytes
+	if payload < 4<<20 {
+		t.Fatalf("checkpoint payload is only %d bytes; the guard needs a multi-MiB one", payload)
 	}
-	return p, fi
+	return p, fi, payload
 }
 
 // TestManifestAllocations: every follower poll asks for the manifest,
-// and the manifest reads each checkpoint's seq from its header and lets
-// the CRC check the rest as it streams past, so a poll allocates a
-// small fraction of the checkpoint however large it is. Not parallel:
-// the measure is the process's allocation counter.
+// and the manifest inflates each checkpoint's header for its seq and
+// lets the CRC check the rest of the file as it streams past, so a poll
+// allocates a small fraction of the checkpoint's payload however large
+// it is. Not parallel: the measure is the process's allocation counter.
 func TestManifestAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a multi-MiB checkpoint")
 	}
-	p, fi := bigCheckpoint(t)
+	p, fi, payload := bigCheckpoint(t)
 	want := p.svc.Stats().WAL.LastCheckpointSeq
 	const polls = 5
 	runtime.GC()
@@ -492,21 +494,22 @@ func TestManifestAllocations(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / polls
-	t.Logf("a manifest poll over a %d-byte checkpoint allocated %d bytes", fi.Size(), per)
-	if per*10 >= uint64(fi.Size()) {
-		t.Fatalf("a manifest poll allocated %d bytes for a %d-byte checkpoint, want < a tenth", per, fi.Size())
+	t.Logf("a manifest poll over a checkpoint of a %d-byte payload (a %d-byte file) allocated %d bytes", payload, fi.Size(), per)
+	if per*10 >= uint64(payload) {
+		t.Fatalf("a manifest poll allocated %d bytes for a %d-byte payload, want < a tenth", per, payload)
 	}
 }
 
 // TestCheckpointFetchAllocations: a bootstrap fetch streams the sealed
 // checkpoint file from disk, trailer included, instead of loading it, so
-// it allocates a small fraction of the checkpoint however large it is.
-// Not parallel: the measure is the process's allocation counter.
+// it allocates a small fraction of the checkpoint's payload however
+// large it is, and less than the compressed file it ships. Not parallel:
+// the measure is the process's allocation counter.
 func TestCheckpointFetchAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a multi-MiB checkpoint")
 	}
-	p, fi := bigCheckpoint(t)
+	p, fi, payload := bigCheckpoint(t)
 	h := p.pub.Handler()
 	req := httptest.NewRequest(http.MethodGet, "/v1/repl/checkpoint/0", nil)
 	w := &hashingResponse{h: sha256.New()}
@@ -516,7 +519,7 @@ func TestCheckpointFetchAllocations(t *testing.T) {
 	h.ServeHTTP(w, req)
 	runtime.ReadMemStats(&after)
 	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("a checkpoint fetch of a %d-byte checkpoint allocated %d bytes", fi.Size(), alloc)
+	t.Logf("a checkpoint fetch of a %d-byte payload (a %d-byte file) allocated %d bytes", payload, fi.Size(), alloc)
 
 	dir, _ := p.svc.ReplicationSource()
 	disk, err := os.ReadFile(filepath.Join(dir, fi.Name()))
@@ -526,8 +529,8 @@ func TestCheckpointFetchAllocations(t *testing.T) {
 	if sum := sha256.Sum256(disk); w.status != 0 || w.n != fi.Size() || !bytes.Equal(w.h.Sum(nil), sum[:]) {
 		t.Fatalf("fetch answered %d with %d bytes; want the %d-byte sealed file as it lies on disk", w.status, w.n, fi.Size())
 	}
-	if alloc*10 >= uint64(fi.Size()) {
-		t.Fatalf("a checkpoint fetch allocated %d bytes for a %d-byte checkpoint, want < a tenth", alloc, fi.Size())
+	if alloc*10 >= uint64(payload) || alloc >= uint64(fi.Size()) {
+		t.Fatalf("a checkpoint fetch allocated %d bytes for a %d-byte payload in a %d-byte file, want < a tenth of the payload and < the file", alloc, payload, fi.Size())
 	}
 }
 

@@ -411,6 +411,7 @@ func (c *Coordinator) Stats() Stats {
 		agg.WAL.Checkpoints += st.WAL.Checkpoints
 		agg.WAL.LastSeq = max(agg.WAL.LastSeq, st.WAL.LastSeq)
 		agg.WAL.LastCheckpointSeq = max(agg.WAL.LastCheckpointSeq, st.WAL.LastCheckpointSeq)
+		agg.WAL.LastCheckpointPayloadBytes += st.WAL.LastCheckpointPayloadBytes
 		agg.WAL.RecoveredRecords += st.WAL.RecoveredRecords
 		agg.Epsilon = sumDim(agg.Epsilon, st.Epsilon)
 		agg.Pi = sumDim(agg.Pi, st.Pi)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,25 +14,26 @@ import (
 	"testing"
 
 	"repro/internal/behavior"
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/enrich"
 	"repro/internal/poison"
 	"repro/internal/stream"
+	"repro/internal/wal"
 )
 
 // checkpointMatchesOracle checkpoints svc and requires the file on disk
-// to equal, byte for byte, the state json.Marshal'd whole and sealed —
-// the checkpoint writer before it streamed. It returns the file.
+// to be a sealed version-2 checkpoint whose payload equals, byte for
+// byte, the state json.Marshal'd whole — the checkpoint writer before it
+// streamed — and whose size is the one the service reports. It returns
+// the payload.
 func checkpointMatchesOracle(t *testing.T, label string, svc *stream.Service, dir string) []byte {
 	t.Helper()
 	if err := svc.Checkpoint(context.Background()); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	got, err := os.ReadFile(filepath.Join(dir, "checkpoint.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := checkpointPayload(t, filepath.Join(dir, "checkpoint.json"))
 	want := stream.MarshalCheckpoint(svc)
 	if !bytes.Equal(got, want) {
 		i := 0
@@ -41,7 +44,31 @@ func checkpointMatchesOracle(t *testing.T, label string, svc *stream.Service, di
 		t.Fatalf("%s: streamed checkpoint (%d bytes) differs from json.Marshal's (%d bytes) at byte %d:\n got …%s\nwant …%s",
 			label, len(got), len(want), i, got[lo:min(len(got), i+60)], want[lo:min(len(want), i+60)])
 	}
+	if n := svc.Stats().WAL.LastCheckpointPayloadBytes; n != int64(len(got)) {
+		t.Fatalf("%s: the service reports a %d-byte payload, the file holds %d", label, n, len(got))
+	}
 	return got
+}
+
+// checkpointPayload reads the checkpoint file at path, which must be in
+// version-2 framing and sealed, and returns its inflated payload.
+func checkpointPayload(t testing.TB, path string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) == 0 || blob[0] != 0x89 {
+		t.Fatalf("%s does not open with the version-2 magic", path)
+	}
+	payload, err := io.ReadAll(ckpt.NewReader(bytes.NewReader(blob)))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if err := ckpt.DecodeSealed(bytes.NewReader(blob), func(dec *json.Decoder) error { return dec.Decode(new(json.RawMessage)) }); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return payload
 }
 
 // durable returns cfg writing checkpoints under a fresh directory.
@@ -80,7 +107,7 @@ func TestCheckpointBytesEmpty(t *testing.T) {
 	cfg, dir := durable(t, testConfig(8))
 	svc := newTestService(t, cfg)
 	blob := checkpointMatchesOracle(t, "empty", svc, dir)
-	if !bytes.HasPrefix(blob, []byte(`{"version":1,"seq":0,"events":[],"counters":`)) {
+	if !bytes.HasPrefix(blob, []byte(`{"version":2,"seq":0,"events":[],"counters":`)) {
 		t.Fatalf("empty checkpoint %s", blob)
 	}
 }
@@ -202,9 +229,11 @@ func TestCheckpointBytesEscapes(t *testing.T) {
 }
 
 // TestCheckpointAllocations is the allocation guard: checkpointing a
-// 20k-event service allocates less than half the file's size, where
-// copying the state and marshaling it whole allocated 4.5 times
-// it. Not parallel: the measure is the process's allocation counter.
+// 20k-event service allocates less than half the payload's size, where
+// copying the state and marshaling it whole allocated 4.5 times it. The
+// measured checkpoint is the service's first, so the count includes the
+// compressor and buffers the service then keeps. Not parallel: the
+// measure is the process's allocation counter.
 func TestCheckpointAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 20k events")
@@ -237,20 +266,22 @@ func TestCheckpointAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload := svc.Stats().WAL.LastCheckpointPayloadBytes
 	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("checkpoint of %d bytes allocated %d bytes (%.2fx)", fi.Size(), alloc, float64(alloc)/float64(fi.Size()))
-	if fi.Size() < 8<<20 {
-		t.Fatalf("checkpoint is only %d bytes; the guard needs a multi-MiB state", fi.Size())
+	t.Logf("checkpoint of a %d-byte payload (a %d-byte file) allocated %d bytes (%.2fx the payload)", payload, fi.Size(), alloc, float64(alloc)/float64(payload))
+	if payload < 8<<20 {
+		t.Fatalf("checkpoint payload is only %d bytes; the guard needs a multi-MiB state", payload)
 	}
-	if alloc*2 >= uint64(fi.Size()) {
-		t.Fatalf("checkpoint of %d bytes allocated %d bytes, want < half", fi.Size(), alloc)
+	if alloc*2 >= uint64(payload) {
+		t.Fatalf("checkpoint of a %d-byte payload allocated %d bytes, want < half", payload, alloc)
 	}
 }
 
 // pinEnricher gives each sample of variant v a profile of six features
 // that need JSON escapes plus one that every variant shares, and the
 // samples of variant "empty" an executed, empty profile and no AV label,
-// so their checkpoint record carries nothing but the MD5.
+// so their checkpoint record carries nothing but the MD5 and the empty
+// set.
 type pinEnricher struct{}
 
 func (pinEnricher) LabelSample(s *dataset.Sample) error {
@@ -272,22 +303,8 @@ func (pinEnricher) ExecuteSample(s *dataset.Sample) (*behavior.Profile, bool, er
 	return p, false, nil
 }
 
-// TestCheckpointBytesPinned pins the checkpoint of a fixed corpus, mid-
-// stream and flushed, to the SHA-256 sums recorded before profiles were
-// interned: interning changes what the service holds, not what it
-// writes.
-func TestCheckpointBytesPinned(t *testing.T) {
-	const (
-		wantMid   = "102092b14a99b9ae574b87cff9fefcae0acef36fa8117fc6b1a8a2c7f8d093ce"
-		wantFinal = "b4847019359aed02e9e92055ae32447e299577697fa9b8f62d9a5fd949108a1d"
-	)
-	cfg, dir := durable(t, testConfig(8))
-	svc, err := stream.New(cfg, pinEnricher{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	ctx := context.Background()
+// pinnedCorpus is the fixed corpus TestCheckpointBytesPinned checkpoints.
+func pinnedCorpus() []dataset.Event {
 	variants := []string{"v0", "v1", "empty", "v2", "v3"}
 	events := make([]dataset.Event, 0, 60)
 	for i := 0; i < 60; i++ {
@@ -295,13 +312,43 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		e.Sample.MD5 = fmt.Sprintf("md5-%s-%d", variants[i%5], i%4)
 		events = append(events, e)
 	}
-	mid, final := ingestHalves(t, "pinned", svc, dir, events,
-		func(evs []dataset.Event) error { return svc.Ingest(ctx, evs) })
-	if !bytes.Contains(final, []byte(`{"md5":"md5-empty-0"}`)) {
-		t.Error("the executed sample with an empty profile has no bare checkpoint record")
+	return events
+}
+
+// pinnedService feeds the pinned corpus through a fresh durable service,
+// checkpointing mid-stream and flushed, and returns the service, its
+// config, and both payloads.
+func pinnedService(t *testing.T) (svc *stream.Service, cfg stream.Config, dir string, mid, final []byte) {
+	t.Helper()
+	cfg, dir = durable(t, testConfig(8))
+	svc, err := stream.New(cfg, pinEnricher{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A service recovered from that checkpoint writes it again, byte for
-	// byte.
+	t.Cleanup(svc.Close)
+	ctx := context.Background()
+	mid, final = ingestHalves(t, "pinned", svc, dir, pinnedCorpus(),
+		func(evs []dataset.Event) error { return svc.Ingest(ctx, evs) })
+	return svc, cfg, dir, mid, final
+}
+
+// TestCheckpointBytesPinned pins the payload of a fixed corpus's
+// checkpoint, mid-stream and flushed, to SHA-256 sums: the version-2
+// format, escapes, the sets table and the empty set included. A service
+// recovered from the flushed checkpoint writes it again, byte for byte.
+func TestCheckpointBytesPinned(t *testing.T) {
+	const (
+		wantMid   = "26f0cdb8d99dd31dfe726440a7da979d906f16b01100bbd2701486eefcb82ad9"
+		wantFinal = "3de5401b30c453c514af8d0654005560a72fc5116c6ae206b531ed238f740d15"
+	)
+	svc, cfg, dir, mid, final := pinnedService(t)
+	if !bytes.Contains(final, []byte(`"sets":[[],`)) || !bytes.Contains(final, []byte(`{"md5":"md5-empty-0","set":0}`)) {
+		t.Error("the executed sample with an empty profile does not refer to the empty set")
+	}
+	file, err := os.ReadFile(filepath.Join(dir, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	svc.Close()
 	re, err := stream.New(cfg, pinEnricher{})
 	if err != nil {
@@ -311,13 +358,87 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	if again := checkpointMatchesOracle(t, "recovered", re, dir); !bytes.Equal(again, final) {
 		t.Error("the recovered service's checkpoint differs from the one it recovered from")
 	}
+	if again, err := os.ReadFile(filepath.Join(dir, "checkpoint.json")); err != nil || !bytes.Equal(again, file) {
+		t.Errorf("the recovered service's checkpoint file differs from the one it recovered from (%v)", err)
+	}
 	for _, c := range []struct {
 		name string
 		blob []byte
 		want string
 	}{{"mid-stream", mid, wantMid}, {"flushed", final, wantFinal}} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(c.blob)); got != c.want {
-			t.Errorf("%s checkpoint sha256 %s, want %s", c.name, got, c.want)
+			t.Errorf("%s checkpoint payload sha256 %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// TestCheckpointV1Upgrade: the pinned corpus's flushed checkpoint as the
+// version-1 writer wrote it (testdata/checkpoint-v1.json, the file the
+// version-1 pin held) restores to the uninterrupted service's views,
+// and the recovered service's next checkpoint is the version-2 file that
+// service wrote. A corrupt version-2 live checkpoint falls back to the
+// version-1 file as a generation.
+func TestCheckpointV1Upgrade(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(v1)); got != "b4847019359aed02e9e92055ae32447e299577697fa9b8f62d9a5fd949108a1d" {
+		t.Fatalf("version-1 fixture sha256 %s, want the version-1 pin", got)
+	}
+	want, cfg, wantDir, _, final := pinnedService(t)
+	wantFile, err := os.ReadFile(filepath.Join(wantDir, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := bytes.Clone(wantFile)
+	corrupt[len(corrupt)/2] ^= 0x40
+	for _, c := range []struct {
+		name  string
+		files map[string][]byte
+	}{
+		{"live", map[string][]byte{"checkpoint.json": v1}},
+		{"generation", map[string][]byte{"checkpoint.json": corrupt, "checkpoint.json.1": v1}},
+	} {
+		dir := t.TempDir()
+		// The log the pinned run wrote held two batches and a flush, all
+		// covered by the checkpoint: recovery only needs it to reach seq 3.
+		log, err := wal.Open(wal.Options{Dir: dir, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := log.Append([]byte(`{"kind":"flush"}`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log.Close()
+		for name, blob := range c.files {
+			if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rcfg := cfg
+		rcfg.Durability.Dir = dir
+		re, err := stream.New(rcfg, pinEnricher{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		compareServices(t, c.name, re, want)
+		st := re.Stats()
+		if st.WAL.RecoveredRecords != 0 {
+			t.Fatalf("%s: replayed %d records past the version-1 checkpoint, want 0", c.name, st.WAL.RecoveredRecords)
+		}
+		if c.name == "live" {
+			if got := checkpointMatchesOracle(t, "upgraded", re, dir); !bytes.Equal(got, final) {
+				t.Fatal("the upgraded service's checkpoint payload differs from the uninterrupted service's")
+			}
+			if got, err := os.ReadFile(filepath.Join(dir, "checkpoint.json")); err != nil || !bytes.Equal(got, wantFile) {
+				t.Fatalf("the upgraded service's checkpoint file differs from the uninterrupted service's (%v)", err)
+			}
+		} else if st.Storage.CheckpointFallbacks != 1 || st.Storage.CorruptCheckpoints != 1 {
+			t.Fatalf("%s: storage ledger %+v, want 1 fallback and 1 quarantined checkpoint", c.name, st.Storage)
+		}
+		re.Close()
 	}
 }

@@ -66,7 +66,7 @@ func (d Durability) generations() int {
 
 const (
 	checkpointName    = ckpt.Name
-	checkpointVersion = 1
+	checkpointVersion = 2
 
 	walKindBatch = "batch"
 	walKindFlush = "flush"
@@ -97,24 +97,31 @@ type walRecord struct {
 	Client string `json:"client,omitempty"`
 }
 
-// checkpointFile is the atomic on-disk snapshot's format. Everything not
-// listed is a deterministic function of what is: instances re-project
-// from the events, EPM clusterings re-derive from the instances and
-// watermarks, and the B-clusterer restores from its own state record.
-// MaxQueueDepth is deliberately absent — queue depth is path-dependent,
-// not part of the landscape state. No whole checkpointFile is ever
-// built: encodeCheckpoint streams its fields in this order, and
-// restoreCheckpoint decodes only the small ones into one.
+// checkpointFile is the atomic on-disk snapshot's payload format, at
+// version 2. Everything not listed is a deterministic function of what
+// is: instances re-project from the events, EPM clusterings re-derive
+// from the instances and watermarks, and the B-clusterer restores from
+// its own state record. MaxQueueDepth is deliberately absent — queue
+// depth is path-dependent, not part of the landscape state. No whole
+// checkpointFile is ever built: encodeCheckpoint streams its fields in
+// this order, and restoreCheckpoint decodes only the small ones into one.
+//
+// Sets holds each distinct behavior set the samples and B inputs refer
+// to once, as its sorted feature names, numbered by first reference:
+// samples in MD5 order, then B inputs in arrival order. The numbering is
+// a function of the state alone. A version-1 payload has no sets; its
+// sample records and B inputs carry their feature names instead.
 type checkpointFile struct {
-	Version     int                       `json:"version"`
-	Seq         uint64                    `json:"seq"` // every record <= Seq is reflected
-	Events      []dataset.Event           `json:"events"`
-	Samples     []sampleEnrichment        `json:"samples,omitempty"`
-	Counters    checkpointCounters        `json:"counters"`
-	Dims        [3]dimState               `json:"dims"`
-	B           bcluster.IncrementalState `json:"b"`
-	Retry       []retryEntryState         `json:"retry,omitempty"`
-	Quarantined map[string]string         `json:"quarantined,omitempty"`
+	Version     int                `json:"version"`
+	Seq         uint64             `json:"seq"` // every record <= Seq is reflected
+	Events      []dataset.Event    `json:"events"`
+	Sets        [][]string         `json:"sets,omitempty"`
+	Samples     []sampleEnrichment `json:"samples,omitempty"`
+	Counters    checkpointCounters `json:"counters"`
+	Dims        [3]dimState        `json:"dims"`
+	B           bState             `json:"b"`
+	Retry       []retryEntryState  `json:"retry,omitempty"`
+	Quarantined map[string]string  `json:"quarantined,omitempty"`
 	// Provenance ledger (defense.go); empty — and absent from the
 	// serialization — unless client tracking is on.
 	Clients       map[string]*clientLedger `json:"clients,omitempty"`
@@ -123,12 +130,35 @@ type checkpointFile struct {
 }
 
 // sampleEnrichment persists the per-sample state the events cannot
-// reproduce: AV labels and the behavioral profile.
+// reproduce: AV labels and the behavioral profile. Only a sample with a
+// label or a profile gets a record.
 type sampleEnrichment struct {
 	MD5      string            `json:"md5"`
 	AVLabel  string            `json:"av_label,omitempty"`
 	AVLabels map[string]string `json:"av_labels,omitempty"`
-	Profile  []string          `json:"profile,omitempty"`
+	// Set indexes the sample's behavior set in the checkpoint's sets;
+	// absent for a sample never executed.
+	Set *int `json:"set,omitempty"`
+	// Profile is the sample's behavior set as feature names (version 1,
+	// where a bare record stands for an executed, empty profile).
+	Profile []string `json:"profile,omitempty"`
+}
+
+// bState is the B-clusterer's record: bcluster.IncrementalState with
+// each input's set written by reference.
+type bState struct {
+	Inputs     []bInput `json:"inputs"`
+	Integrated int      `json:"integrated"`
+	Epochs     int      `json:"epochs"`
+}
+
+// bInput is one B input's record: the clusterer's persisted input, its
+// behavior set given as an index into the checkpoint's sets, or in a
+// version-1 payload as feature names.
+type bInput struct {
+	bcluster.IncrementalInput
+	SetIndex int      `json:"set"`
+	Features []string `json:"features,omitempty"`
 }
 
 type checkpointCounters struct {
@@ -302,10 +332,11 @@ func (s *Service) checkpoint() error {
 }
 
 // writeCheckpoint writes the snapshot atomically: the state streamed
-// into a temp file under a CRC trailer, fsync, archive of the previous
-// checkpoint as a fallback generation, rename, directory fsync. Every
-// step's error propagates — a checkpoint that may not be durable must
-// not narrow the WAL's GC horizon. Runs on the worker.
+// into a temp file, compressed and sealed under a CRC trailer
+// (ckpt.Writer), fsync, archive of the previous checkpoint as a
+// fallback generation, rename, directory fsync. Every step's error
+// propagates — a checkpoint that may not be durable must not narrow the
+// WAL's GC horizon. Runs on the worker.
 func (s *Service) writeCheckpoint() error {
 	dir := s.cfg.Durability.Dir
 	path := filepath.Join(dir, checkpointName)
@@ -316,7 +347,7 @@ func (s *Service) writeCheckpoint() error {
 	defer s.fs.Remove(tmp.Name())
 	s.mu.RLock()
 	seq := s.applySeq
-	err = s.encodeCheckpoint(tmp)
+	payload, err := s.ckw.Encode(tmp, s.encodeCheckpoint)
 	s.mu.RUnlock()
 	if err == nil && !s.cfg.Durability.NoSync {
 		err = tmp.Sync()
@@ -356,6 +387,7 @@ func (s *Service) writeCheckpoint() error {
 	s.mu.Lock()
 	s.checkpoints++
 	s.lastCkptSeq = seq
+	s.lastCkptPayload = payload
 	s.sinceCkpt = 0
 	s.mu.Unlock()
 	s.pruneGenerations(dir)
@@ -369,7 +401,7 @@ func (s *Service) writeCheckpoint() error {
 	return nil
 }
 
-// encodeCheckpoint streams the state into w as one sealed checkpoint.
+// encodeCheckpoint streams the state into w as one checkpoint payload.
 // The payload is byte for byte json.Marshal of the checkpointFile the
 // state describes, but no copy of the state is built: events come from
 // the dataset's chunks, sample records and B inputs from iterators, and
@@ -377,21 +409,49 @@ func (s *Service) writeCheckpoint() error {
 // least the read lock; the worker is the only caller, so no mutation is
 // concurrent.
 func (s *Service) encodeCheckpoint(w io.Writer) error {
-	cw := ckpt.NewWriter(w)
-	o := newObjectWriter(cw)
+	// The set table walks every sample in MD5 order and every B input.
+	// The events do not refer to it, so it is built beside them rather
+	// than before the first byte, which would leave the compressor idle.
+	var (
+		samples []*dataset.Sample
+		sets    setTable
+	)
+	tabled := make(chan struct{})
+	go func() {
+		defer close(tabled)
+		samples = s.ds.Samples()
+		for _, smp := range samples {
+			if smp.Profile != nil {
+				sets.ref(smp.Profile)
+			}
+		}
+		s.b.EachInput(func(in *bcluster.IncrementalInput) { sets.ref(in.Set.Names()) })
+	}()
+	o := newObjectWriter(w)
 	o.object(func() {
 		o.field("version", checkpointVersion)
 		o.field("seq", s.applySeq)
 		o.array("events", false, func(elem func(any)) {
 			s.ds.EachEvent(func(e *dataset.Event) { elem(e) })
 		})
+		<-tabled
+		o.array("sets", true, func(elem func(any)) {
+			for _, names := range sets.names {
+				elem(names)
+			}
+		})
 		se := new(sampleEnrichment)
+		var set int
 		o.array("samples", true, func(elem func(any)) {
-			for _, smp := range s.ds.Samples() {
+			for _, smp := range samples {
 				if smp.AVLabel == "" && len(smp.AVLabels) == 0 && smp.Profile == nil {
 					continue
 				}
-				*se = sampleEnrichment{MD5: smp.MD5, AVLabel: smp.AVLabel, AVLabels: smp.AVLabels, Profile: smp.Profile}
+				*se = sampleEnrichment{MD5: smp.MD5, AVLabel: smp.AVLabel, AVLabels: smp.AVLabels}
+				if smp.Profile != nil {
+					set = sets.ref(smp.Profile)
+					se.Set = &set
+				}
 				elem(se)
 			}
 		})
@@ -417,8 +477,12 @@ func (s *Service) encodeCheckpoint(w io.Writer) error {
 		o.field("dims", dims)
 		o.key("b")
 		o.object(func() {
+			bi := new(bInput)
 			o.array("inputs", false, func(elem func(any)) {
-				s.b.EachInput(func(in *bcluster.IncrementalInput) { elem(in) })
+				s.b.EachInput(func(in *bcluster.IncrementalInput) {
+					*bi = bInput{IncrementalInput: *in, SetIndex: sets.ref(in.Set.Names())}
+					elem(bi)
+				})
 			})
 			o.field("integrated", s.b.Samples()-s.b.Pending())
 			o.field("epochs", s.b.Epochs())
@@ -444,10 +508,36 @@ func (s *Service) encodeCheckpoint(w io.Writer) error {
 			o.field("sample_groups", s.sampleGroup)
 		}
 	})
-	if o.err != nil {
-		return o.err
+	return o.err
+}
+
+// setTable numbers the distinct behavior sets a checkpoint refers to, in
+// order of first reference. Samples and B inputs hold their interned
+// set's shared name list (behavior.Set.Names), so the address of a
+// list's first name identifies its set; the one empty set has no first
+// name, and nil stands for it.
+type setTable struct {
+	index map[*string]int
+	names [][]string
+}
+
+// ref returns the number of the set whose name list is names, numbering
+// it if it is new.
+func (t *setTable) ref(names []string) int {
+	var key *string
+	if len(names) > 0 {
+		key = &names[0]
 	}
-	return cw.Seal()
+	i, ok := t.index[key]
+	if !ok {
+		if t.index == nil {
+			t.index = make(map[*string]int)
+		}
+		i = len(t.names)
+		t.index[key] = i
+		t.names = append(t.names, names)
+	}
+	return i
 }
 
 // objectWriter writes a JSON object field by field, staging punctuation
@@ -723,28 +813,45 @@ func (s *Service) recover() error {
 	return nil
 }
 
-// restoreCheckpoint streams one checkpoint payload into the freshly
-// reset state and re-derives the rest: events go straight into the
-// dataset (and instances out of them), sample records onto their
-// samples, EPM clusterings re-derive by deterministic re-discovery at
-// the recorded watermarks, and the B partition from its inputs. Only
-// the small fields decode whole. Each sample profile and each B input's
-// features are interned as they are decoded, so the decoded strings of
-// a profile seen before are dropped at once. Keys may come in any order,
-// except that sample records must follow the events that introduce them.
+// restoreCheckpoint streams one checkpoint payload, of version 2 or 1,
+// into the freshly reset state and re-derives the rest: events go
+// straight into the dataset (and instances out of them), sample records
+// onto their samples, EPM clusterings re-derive by deterministic
+// re-discovery at the recorded watermarks, and the B partition from its
+// inputs. Only the small fields decode whole. Each behavior set is
+// interned as it is decoded — in version 1, each sample profile and each
+// B input's features — so the decoded strings of a set seen before are
+// dropped at once. Keys may come in any order, except that the version
+// must precede the sets, samples and B inputs, the sets the samples and
+// B inputs that refer to them, and the events the sample records that
+// enrich them. What was decoded is checked (checkRefs) before any of it
+// is installed beside the dataset.
 func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 	var (
-		cp     checkpointFile // Version, Seq and the small fields; B.Inputs, interned
+		cp     checkpointFile // Version, Seq and the small fields
+		st     bcluster.IncrementalState
+		sets   []*behavior.Set
+		names  []string
+		refs   bool // sample records or B inputs were decoded
 		dimIns [3][]epm.Instance
 		e      dataset.Event
 		se     sampleEnrichment
-		in     bcluster.IncrementalInput
+		in     bInput
 	)
 	checkVersion := func() error {
-		if cp.Version != checkpointVersion {
-			return fmt.Errorf("stream: checkpoint version %d, want %d", cp.Version, checkpointVersion)
+		switch cp.Version {
+		case 1, checkpointVersion:
+			return nil
+		case 0:
+			return errors.New("stream: checkpoint names no version before its records")
 		}
-		return nil
+		return fmt.Errorf("stream: checkpoint version %d, want %d or 1", cp.Version, checkpointVersion)
+	}
+	setAt := func(i int) (*behavior.Set, error) {
+		if i < 0 || i >= len(sets) {
+			return nil, fmt.Errorf("set index %d out of range [0,%d)", i, len(sets))
+		}
+		return sets[i], nil
 	}
 	err := decodeObject(dec, func(key string) error {
 		switch key {
@@ -771,7 +878,34 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 				}
 				return nil
 			})
+		case "sets":
+			if err := checkVersion(); err != nil {
+				return err
+			}
+			if cp.Version == 1 {
+				break
+			}
+			if refs || sets != nil {
+				return errors.New("stream: checkpoint sets come twice, or after records that refer to them")
+			}
+			sets = []*behavior.Set{}
+			return decodeArray(dec, func() error {
+				names = names[:0]
+				if err := dec.Decode(&names); err != nil {
+					return err
+				}
+				set, err := behavior.InternFeatures(names)
+				if err != nil {
+					return fmt.Errorf("stream: checkpoint set %d: %w", len(sets), err)
+				}
+				sets = append(sets, set)
+				return nil
+			})
 		case "samples":
+			if err := checkVersion(); err != nil {
+				return err
+			}
+			refs = true
 			return decodeArray(dec, func() error {
 				se = sampleEnrichment{}
 				if err := dec.Decode(&se); err != nil {
@@ -782,13 +916,21 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 					return fmt.Errorf("stream: checkpoint enriches unknown sample %s", se.MD5)
 				}
 				smp.AVLabel, smp.AVLabels, smp.Profile = se.AVLabel, se.AVLabels, nil
-				// Only a sample with a label or a profile gets a record, so a
-				// bare one stands for an executed sample whose profile was empty.
-				if se.Profile != nil || se.AVLabel == "" && len(se.AVLabels) == 0 {
-					set, err := behavior.InternFeatures(se.Profile)
-					if err != nil {
-						return fmt.Errorf("stream: checkpoint profile of %s: %w", se.MD5, err)
-					}
+				var set *behavior.Set
+				var err error
+				switch {
+				case cp.Version != 1 && se.Set != nil:
+					set, err = setAt(*se.Set)
+				case cp.Version == 1 && (se.Profile != nil || se.AVLabel == "" && len(se.AVLabels) == 0):
+					// Only a sample with a label or a profile gets a record,
+					// so a bare one stands for an executed sample whose
+					// profile was empty.
+					set, err = behavior.InternFeatures(se.Profile)
+				}
+				if err != nil {
+					return fmt.Errorf("stream: checkpoint profile of %s: %w", se.MD5, err)
+				}
+				if set != nil {
 					smp.Profile = set.Names()
 				}
 				return nil
@@ -798,27 +940,36 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 		case "dims":
 			return dec.Decode(&cp.Dims)
 		case "b":
+			if err := checkVersion(); err != nil {
+				return err
+			}
+			refs = true
 			return decodeObject(dec, func(key string) error {
 				switch key {
 				case "inputs":
 					return decodeArray(dec, func() error {
-						in = bcluster.IncrementalInput{Features: in.Features[:0]}
+						// An input without a set keeps index -1, out of range.
+						in = bInput{SetIndex: -1, Features: in.Features[:0]}
 						if err := dec.Decode(&in); err != nil {
 							return err
 						}
-						set, err := behavior.InternFeatures(in.Features)
+						rec := in.IncrementalInput
+						var err error
+						if cp.Version == 1 {
+							rec.Set, err = behavior.InternFeatures(in.Features)
+						} else {
+							rec.Set, err = setAt(in.SetIndex)
+						}
 						if err != nil {
 							return fmt.Errorf("stream: checkpoint B input %s: %w", in.ID, err)
 						}
-						rec := in
-						rec.Features, rec.Set = nil, set
-						cp.B.Inputs = append(cp.B.Inputs, rec)
+						st.Inputs = append(st.Inputs, rec)
 						return nil
 					})
 				case "integrated":
-					return dec.Decode(&cp.B.Integrated)
+					return dec.Decode(&st.Integrated)
 				case "epochs":
-					return dec.Decode(&cp.B.Epochs)
+					return dec.Decode(&st.Epochs)
 				}
 				return dec.Decode(new(json.RawMessage))
 			})
@@ -842,17 +993,15 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 	if err := checkVersion(); err != nil {
 		return err
 	}
-	for name, l := range cp.Clients {
-		if l == nil {
-			return fmt.Errorf("stream: checkpoint client %q has a null ledger", name)
-		}
+	if err := s.checkRefs(&cp, st.Inputs); err != nil {
+		return err
 	}
 	for i := range s.dims {
 		if err := s.dims[i].restore(cp.Dims[i], dimIns[i]); err != nil {
 			return err
 		}
 	}
-	b, err := bcluster.RestoreIncremental(s.cfg.BCluster, cp.B)
+	b, err := bcluster.RestoreIncremental(s.cfg.BCluster, st)
 	if err != nil {
 		return err
 	}
@@ -883,6 +1032,53 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 		s.sampleGroup[md5] = g
 	}
 	s.applySeq = cp.Seq
+	return nil
+}
+
+// checkRefs refuses decoded state that no service writes: a retry entry
+// with an unknown stage, negative attempts, or a sample the pool already
+// holds; a client without a ledger; and a retry entry, quarantine entry
+// or B input that names a sample no checkpointed event introduced.
+// Restored, an unknown stage or a repeated sample stayed in the retry
+// pool for good, and every later Flush, which drains the pool until it
+// is empty, spun forever.
+func (s *Service) checkRefs(cp *checkpointFile, inputs []bcluster.IncrementalInput) error {
+	known := func(what, md5 string) error {
+		if s.ds.Sample(md5) == nil {
+			return fmt.Errorf("stream: checkpoint %s names unknown sample %q", what, md5)
+		}
+		return nil
+	}
+	pooled := make(map[string]bool, len(cp.Retry))
+	for _, e := range cp.Retry {
+		switch {
+		case e.Stage != retryLabel && e.Stage != retryExecute:
+			return fmt.Errorf("stream: checkpoint retry entry for %q has unknown stage %q", e.MD5, e.Stage)
+		case e.Attempts < 0:
+			return fmt.Errorf("stream: checkpoint retry entry for %q has %d attempts", e.MD5, e.Attempts)
+		case pooled[e.MD5]:
+			return fmt.Errorf("stream: checkpoint retry pool holds %q twice", e.MD5)
+		}
+		pooled[e.MD5] = true
+		if err := known("retry entry", e.MD5); err != nil {
+			return err
+		}
+	}
+	for md5 := range cp.Quarantined {
+		if err := known("quarantine entry", md5); err != nil {
+			return err
+		}
+	}
+	for _, in := range inputs {
+		if err := known("B input", in.ID); err != nil {
+			return err
+		}
+	}
+	for name, l := range cp.Clients {
+		if l == nil {
+			return fmt.Errorf("stream: checkpoint client %q has a null ledger", name)
+		}
+	}
 	return nil
 }
 
@@ -974,9 +1170,12 @@ type WALStats struct {
 	Appends      int    `json:"appends"`
 	AppendErrors int    `json:"append_errors"`
 	// Checkpoints counts this process's checkpoints; LastCheckpointSeq
-	// is the newest durable checkpoint's coverage (restored at recovery).
-	Checkpoints       int    `json:"checkpoints"`
-	LastCheckpointSeq uint64 `json:"last_checkpoint_seq"`
+	// is the newest durable checkpoint's coverage (restored at recovery),
+	// and LastCheckpointPayloadBytes the size of this process's newest
+	// checkpoint payload before compression (0 before its first).
+	Checkpoints                int    `json:"checkpoints"`
+	LastCheckpointSeq          uint64 `json:"last_checkpoint_seq"`
+	LastCheckpointPayloadBytes int64  `json:"last_checkpoint_payload_bytes"`
 	// RecoveredRecords counts WAL records replayed at startup.
 	RecoveredRecords int `json:"recovered_records"`
 }

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -460,10 +461,10 @@ func TestCheckpointGenerationFallback(t *testing.T) {
 	}
 }
 
-// checkpointChain ingests events in batches of 100 through a durable
-// service, checkpointing after batches 2 and 5, so the live checkpoint
-// is large (several 64 KiB reads) and a retained generation stands
-// behind it. It returns the closed service's config and directory.
+// checkpointChain ingests events in nine batches through a durable
+// service, checkpointing after batches 2 and 5, so a retained generation
+// stands behind the live checkpoint. It returns the closed service's
+// config and directory.
 func checkpointChain(t *testing.T, events []dataset.Event) (stream.Config, string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -474,8 +475,9 @@ func checkpointChain(t *testing.T, events []dataset.Event) (stream.Config, strin
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for bi := 0; bi*100 < len(events); bi++ {
-		if err := svc.Ingest(ctx, events[bi*100:(bi+1)*100]); err != nil {
+	batch := len(events) / 9
+	for bi := 0; bi*batch < len(events); bi++ {
+		if err := svc.Ingest(ctx, events[bi*batch:(bi+1)*batch]); err != nil {
 			t.Fatal(err)
 		}
 		if bi == 2 || bi == 5 {
@@ -485,15 +487,13 @@ func checkpointChain(t *testing.T, events []dataset.Event) (stream.Config, strin
 		}
 	}
 	svc.Close()
-	fi, err := os.Stat(filepath.Join(dir, "checkpoint.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() < 4*64<<10 {
-		t.Fatalf("live checkpoint is %d bytes; a second read would not land mid-file", fi.Size())
-	}
 	return cfg, dir
 }
+
+// chainEvents is the corpus recoverUnder checkpoints: the live
+// checkpoint, after batch 5, covers 12,000 events, several 64 KiB reads
+// of compressed file.
+const chainEvents = 18000
 
 // recoverUnder restarts the chain's service on a filesystem whose
 // second read — inside the live checkpoint, the first file recovery
@@ -501,9 +501,16 @@ func checkpointChain(t *testing.T, events []dataset.Event) (stream.Config, strin
 // uninterrupted one.
 func recoverUnder(t *testing.T, kind faultfs.Kind) (stream.StorageStats, string) {
 	t.Helper()
-	events := cleanCorpus(900)
-	want := feedInterrupted(t, testConfig(8), events, 100, 0, 0)
+	events := cleanCorpus(chainEvents)
+	want := feedInterrupted(t, testConfig(8), events, chainEvents/9, 0, 0)
 	cfg, dir := checkpointChain(t, events)
+	fi, err := os.Stat(filepath.Join(dir, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() < 4*64<<10 {
+		t.Fatalf("live checkpoint is %d bytes; a second read would not land mid-file", fi.Size())
+	}
 	inj := faultfs.New(nil, faultfs.Config{Rules: []faultfs.Rule{{Op: faultfs.OpRead, At: 2, Kind: kind}}})
 	cfg.Durability.FS = inj
 	re, err := stream.New(cfg, fakeEnricher{})
@@ -552,6 +559,69 @@ func TestCheckpointBitFlipQuarantines(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "checkpoint.json.corrupt")); err != nil {
 		t.Fatalf("flipped checkpoint not quarantined: %v", err)
+	}
+}
+
+// TestCheckpointCorruptionQuarantines: each way a compressed live
+// checkpoint can be wrong — a flipped bit, a stream cut short or
+// followed by other bytes under a trailer that matches, no trailer at
+// all — is corruption. Recovery quarantines the file, falls back to the
+// retained generation, and converges on the uninterrupted run.
+func TestCheckpointCorruptionQuarantines(t *testing.T) {
+	events := cleanCorpus(900)
+	want := feedInterrupted(t, testConfig(8), events, 100, 0, 0)
+	cfg, chain := checkpointChain(t, events)
+	live, err := os.ReadFile(filepath.Join(chain, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The trailer is "\n#checkpoint-crc32 ", eight hex digits and "\n";
+	// sealV1 seals a body with it.
+	body := live[:len(live)-28]
+	flipped := bytes.Clone(live)
+	flipped[len(flipped)/2] ^= 0x10
+	for name, blob := range map[string][]byte{
+		"flipped bit":      flipped,
+		"truncated stream": sealV1(body[:len(body)-100]),
+		"trailing bytes":   sealV1(append(bytes.Clone(body), "{}"...)),
+		"no trailer":       body,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			entries, err := os.ReadDir(chain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				b, err := os.ReadFile(filepath.Join(chain, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.Name() == "checkpoint.json" {
+					b = blob
+				}
+				if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rcfg := cfg
+			rcfg.Durability.Dir = dir
+			re, err := stream.New(rcfg, fakeEnricher{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if err := re.Flush(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			compareServices(t, name, re, want)
+			if st := re.Stats().Storage; st.CheckpointFallbacks != 1 || st.CorruptCheckpoints != 1 {
+				t.Fatalf("storage ledger %+v, want 1 fallback and 1 quarantined checkpoint", st)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "checkpoint.json.corrupt")); err != nil {
+				t.Fatalf("corrupt checkpoint not quarantined: %v", err)
+			}
+		})
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"slices"
+	"strings"
 
 	"repro/internal/bcluster"
 	"repro/internal/dataset"
@@ -32,9 +32,11 @@ func (s *Service) Quarantined() map[string]string {
 }
 
 // MarshalCheckpoint is the checkpoint writer before it streamed, kept
-// as the oracle the codec tests hold the streamed file to: the whole
-// state copied into a checkpointFile, json.Marshal'd in one piece, and
-// sealed with the CRC trailer.
+// as the oracle the codec tests hold the checkpoint's payload to: the
+// whole state copied into a checkpointFile and json.Marshal'd in one
+// piece. It numbers behavior sets by their names, where the writer goes
+// by the identity of their interned name lists, so it also checks that
+// the state holds each set once.
 func MarshalCheckpoint(s *Service) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -57,17 +59,39 @@ func MarshalCheckpoint(s *Service) []byte {
 			RetrySuccesses:   s.retrySuccesses,
 			RecentErrors:     s.recentErrors,
 		},
-		B: bcluster.IncrementalState{
-			Inputs:     make([]bcluster.IncrementalInput, 0, s.b.Samples()),
+		B: bState{
+			Inputs:     make([]bInput, 0, s.b.Samples()),
 			Integrated: s.b.Samples() - s.b.Pending(),
 			Epochs:     s.b.Epochs(),
 		},
 		Quarantined: s.quarantined,
 	}
+	index := map[string]int{}
+	ref := func(names []string) int {
+		key := strings.Join(names, "\x00")
+		i, ok := index[key]
+		if !ok {
+			i = len(cp.Sets)
+			index[key] = i
+			cp.Sets = append(cp.Sets, slices.Clone(names))
+		}
+		return i
+	}
+	for _, smp := range s.ds.Samples() {
+		if smp.AVLabel == "" && len(smp.AVLabels) == 0 && smp.Profile == nil {
+			continue
+		}
+		rec := sampleEnrichment{MD5: smp.MD5, AVLabel: smp.AVLabel, AVLabels: smp.AVLabels}
+		if smp.Profile != nil {
+			i := ref(smp.Profile)
+			rec.Set = &i
+		}
+		cp.Samples = append(cp.Samples, rec)
+	}
 	s.b.EachInput(func(in *bcluster.IncrementalInput) {
 		c := *in
-		c.Features, c.HoldPair = slices.Clone(in.Features), slices.Clone(in.HoldPair)
-		cp.B.Inputs = append(cp.B.Inputs, c)
+		c.HoldPair = slices.Clone(in.HoldPair)
+		cp.B.Inputs = append(cp.B.Inputs, bInput{IncrementalInput: c, SetIndex: ref(in.Set.Names())})
 	})
 	if len(s.clients) > 0 {
 		cp.Clients = s.clients
@@ -77,14 +101,6 @@ func MarshalCheckpoint(s *Service) []byte {
 	}
 	if len(s.sampleGroup) > 0 {
 		cp.SampleGroups = s.sampleGroup
-	}
-	for _, smp := range s.ds.Samples() {
-		if smp.AVLabel == "" && len(smp.AVLabels) == 0 && smp.Profile == nil {
-			continue
-		}
-		cp.Samples = append(cp.Samples, sampleEnrichment{
-			MD5: smp.MD5, AVLabel: smp.AVLabel, AVLabels: smp.AVLabels, Profile: smp.Profile,
-		})
 	}
 	for i, d := range s.dims {
 		cp.Dims[i] = dimState{Epoch: d.epoch, BuiltLen: d.builtLen, NextStable: d.nextStable, Stable: d.stable}
@@ -98,16 +114,16 @@ func MarshalCheckpoint(s *Service) []byte {
 	if err != nil {
 		panic(err)
 	}
-	return append(blob, fmt.Sprintf("\n#checkpoint-crc32 %08x\n", crc32.ChecksumIEEE(blob))...)
+	return blob
 }
 
-// BInputNames maps each B input's ID to the feature list its checkpoint
-// record carries, uncopied: the interned set's shared names.
+// BInputNames maps each B input's ID to its set's feature names,
+// uncopied: the interned set's shared list.
 func BInputNames(s *Service) map[string][]string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[string][]string, s.b.Samples())
-	s.b.EachInput(func(in *bcluster.IncrementalInput) { out[in.ID] = in.Features })
+	s.b.EachInput(func(in *bcluster.IncrementalInput) { out[in.ID] = in.Set.Names() })
 	return out
 }
 

@@ -138,8 +138,9 @@ func TestInternedProfilesShareAcrossRestore(t *testing.T) {
 }
 
 // heapProbe samples the live heap while recovery reads the checkpoint:
-// before every read that crosses another 256 KiB of the file, and at
-// its end, it collects garbage and records HeapAlloc.
+// before every read that crosses another 16 KiB of the compressed file
+// (about 256 KiB of payload), and at its end, it collects garbage and
+// records HeapAlloc.
 type heapProbe struct {
 	faultfs.FS
 	peak uint64
@@ -163,7 +164,7 @@ func (p *probedFile) Read(b []byte) (int, error) {
 	n, err := p.File.Read(b)
 	p.pos += int64(n)
 	if p.pos >= p.next || err == io.EOF {
-		p.next = p.pos + 256<<10
+		p.next = p.pos + 16<<10
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
@@ -173,12 +174,12 @@ func (p *probedFile) Read(b []byte) (int, error) {
 }
 
 // TestRecoveryHoldsLessThanTheCheckpoint bounds what recovery holds
-// while it decodes a checkpoint whose samples share a few large
-// profiles: less than the file's size above the heap before recovery.
-// Interning each profile as it is decoded drops the feature strings of
-// every profile seen before; holding every B input's strings until the
-// clusterer is rebuilt needed twice the file. Not parallel: the measure
-// is the process's heap.
+// while it decodes a checkpoint whose samples each have a large profile:
+// less than the payload's size above the heap before recovery. Interning
+// each set as it is decoded drops the decoded strings of every set the
+// table already holds; holding every B input's strings until the
+// clusterer was rebuilt needed twice the payload. Not parallel: the
+// measure is the process's heap.
 func TestRecoveryHoldsLessThanTheCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 3k events")
@@ -203,6 +204,7 @@ func TestRecoveryHoldsLessThanTheCheckpoint(t *testing.T) {
 	if err := svc.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
+	payload := svc.Stats().WAL.LastCheckpointPayloadBytes
 	svc.Close()
 	fi, err := os.Stat(filepath.Join(dir, "checkpoint.json"))
 	if err != nil {
@@ -219,17 +221,16 @@ func TestRecoveryHoldsLessThanTheCheckpoint(t *testing.T) {
 	}
 	defer re.Close()
 	held := probe.peak - min(probe.peak, before.HeapAlloc)
-	t.Logf("recovery from a %d-byte checkpoint held at most %d bytes (%.2fx)", fi.Size(), held, float64(held)/float64(fi.Size()))
+	t.Logf("recovery from a %d-byte payload (a %d-byte file) held at most %d bytes (%.2fx the payload)", payload, fi.Size(), held, float64(held)/float64(payload))
 	if st := re.Stats(); st.Events != len(events) || st.B.Samples != len(events) {
 		t.Fatalf("recovered %d events, %d B samples; want %d", st.Events, st.B.Samples, len(events))
 	}
-	if held >= uint64(fi.Size()) {
-		t.Fatalf("recovery from a %d-byte checkpoint held %d bytes, want less than the file", fi.Size(), held)
+	if held >= uint64(payload) {
+		t.Fatalf("recovery from a %d-byte payload held %d bytes, want less than the payload", payload, held)
 	}
 }
 
-// wideEnricher gives every sample of variant v the same 60-feature
-// profile.
+// wideEnricher gives every sample its own 60-feature profile.
 type wideEnricher struct{}
 
 func (wideEnricher) LabelSample(s *dataset.Sample) error { return nil }
@@ -237,7 +238,7 @@ func (wideEnricher) LabelSample(s *dataset.Sample) error { return nil }
 func (wideEnricher) ExecuteSample(s *dataset.Sample) (*behavior.Profile, bool, error) {
 	p := behavior.NewProfile()
 	for k := 0; k < 60; k++ {
-		p.Add(fmt.Sprintf("registry-set|HKLM\\Software\\%s\\key%02d", s.TruthVariant, k))
+		p.Add(fmt.Sprintf("registry-set|HKLM\\Software\\%s\\%s\\key%02d", s.TruthVariant, s.MD5, k))
 	}
 	return p, false, nil
 }

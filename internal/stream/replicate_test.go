@@ -231,12 +231,14 @@ func TestRestoreSnapshotAtSeqZeroIsBootstrap(t *testing.T) {
 // refused as corrupt, without a panic, and leaves the replica fresh for
 // the next bootstrap attempt.
 func TestRestoreSnapshotRejectsInvalidState(t *testing.T) {
-	for name, payload := range map[string]string{
-		"null client ledger": `{"version":1,"seq":0,"clients":{"x":null}}`,
-		"hold pair past the watermark": `{"version":1,"seq":0,"b":{"inputs":[` +
+	const events = `"events":[{"id":"e-a","attacker":"10.0.0.1","sensor":"s1","sample":{"MD5":"a"}},` +
+		`{"id":"e-b","attacker":"10.0.0.2","sensor":"s1","sample":{"MD5":"b"}}],`
+	for name, c := range map[string]struct{ payload, why string }{
+		"null client ledger": {`{"version":1,"seq":0,"clients":{"x":null}}`, "null ledger"},
+		"hold pair past the watermark": {`{"version":1,"seq":0,` + events + `"b":{"inputs":[` +
 			`{"id":"a","features":["f"]},{"id":"b","features":["g"],"status":1,"hold_pair":[999999,0]}` +
-			`],"integrated":2,"epochs":1}}`,
-		"unknown status": `{"version":1,"seq":0,"b":{"inputs":[{"id":"a","features":["f"],"status":9}],"integrated":1,"epochs":1}}`,
+			`],"integrated":2,"epochs":1}}`, "holds pair"},
+		"unknown status": {`{"version":2,"seq":0,` + events + `"sets":[["f"]],"b":{"inputs":[{"id":"a","set":0,"status":9}],"integrated":1,"epochs":1}}`, "unknown status"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			rep, err := stream.NewReplica(testConfig(8), fakeEnricher{})
@@ -244,8 +246,8 @@ func TestRestoreSnapshotRejectsInvalidState(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(rep.Close)
-			if err := rep.RestoreSnapshot(sealed(payload)); !errors.Is(err, ckpt.ErrCorrupt) {
-				t.Fatalf("RestoreSnapshot error %v, want ckpt.ErrCorrupt", err)
+			if err := rep.RestoreSnapshot(sealed(c.payload)); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), c.why) {
+				t.Fatalf("RestoreSnapshot error %v, want ckpt.ErrCorrupt for the %s", err, c.why)
 			}
 			if err := rep.RestoreSnapshot(sealed(`{"version":1,"seq":0}`)); err != nil {
 				t.Fatalf("replica not left fresh: %v", err)
@@ -254,15 +256,8 @@ func TestRestoreSnapshotRejectsInvalidState(t *testing.T) {
 	}
 }
 
-// sealed returns payload with the checkpoint CRC trailer a primary
-// ships it with.
-func sealed(payload string) io.Reader {
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	w.Write([]byte(payload))
-	w.Seal()
-	return &buf
-}
+// sealed returns payload in the framing a primary ships it in.
+func sealed(payload string) io.Reader { return bytes.NewReader(sealV2([]byte(payload))) }
 
 // TestRestoreSnapshotRefusesCutBody: a bootstrap body cut where its CRC
 // trailer begins is still valid JSON. The replica must refuse it as

@@ -39,6 +39,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/bcluster"
 	"repro/internal/behavior"
+	"repro/internal/ckpt"
 	"repro/internal/dataset"
 	"repro/internal/enrich"
 	"repro/internal/epm"
@@ -238,14 +239,18 @@ type Service struct {
 	walAppendErrors  int
 	checkpoints      int
 	lastCkptSeq      uint64
+	lastCkptPayload  int64
 	recoveredRecords int
 
 	// Self-healing durability (durability.go, storage.go). fs is the
 	// filesystem under the checkpoint writer — the os passthrough unless
 	// the chaos harness injected faults; ckptGen/gens track the retained
-	// fallback checkpoint generations; the remaining fields are the
-	// repair/fallback/scrub ledger surfaced in Stats.Storage.
+	// fallback checkpoint generations; ckw is the checkpoint writer,
+	// which keeps its compressor between checkpoints; the remaining
+	// fields are the repair/fallback/scrub ledger surfaced in
+	// Stats.Storage.
 	fs            faultfs.FS
+	ckw           ckpt.Writer
 	ckptGen       uint64
 	gens          []ckptGeneration
 	walRepairs    int
@@ -1399,12 +1404,13 @@ func (s *Service) Stats() Stats {
 		recent = append(recent, s.recentErrors...)
 	}
 	walStats := WALStats{
-		Enabled:           s.wal != nil,
-		Appends:           s.walAppends,
-		AppendErrors:      s.walAppendErrors,
-		Checkpoints:       s.checkpoints,
-		LastCheckpointSeq: s.lastCkptSeq,
-		RecoveredRecords:  s.recoveredRecords,
+		Enabled:                    s.wal != nil,
+		Appends:                    s.walAppends,
+		AppendErrors:               s.walAppendErrors,
+		Checkpoints:                s.checkpoints,
+		LastCheckpointSeq:          s.lastCkptSeq,
+		LastCheckpointPayloadBytes: s.lastCkptPayload,
+		RecoveredRecords:           s.recoveredRecords,
 	}
 	if s.wal != nil {
 		walStats.LastSeq = s.wal.LastSeq()
