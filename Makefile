@@ -169,14 +169,15 @@ smoke-overload:
 	go test -count=1 -run TestOverloadSmoke -v ./internal/loadgen/
 
 # Sharding smoke: the race detector over the N-shard == 1-shard merged
-# view equivalence, the merged-view cache's differential test and the
-# 1-shard coordinator == bare service parity test, a
-# 4-shard in-process replay convergence gate, and
+# view equivalence, the merged-view cache's differential test, the
+# 1-shard coordinator == bare service parity test and the stable-ID
+# gate across deployment shapes, a 4-shard in-process replay
+# convergence gate, and
 # the loadgen flood through 1- and 4-shard daemons (merged-view
 # equivalence plus the >=2x aggregate-throughput bound, enforced where
 # the box has >=4 cores). Mirrors the CI "Shard smoke" step.
 smoke-shard:
-	go test -count=1 -race -run 'TestShardEquivalence|TestMergedViewCache|TestOneShardParity' ./internal/shard/
+	go test -count=1 -race -run 'TestShardEquivalence|TestMergedViewCache|TestOneShardParity|TestStableIDsAcrossDeployments' ./internal/shard/
 	go run ./cmd/landscaped -replay -small -shards 4
 	go test -count=1 -run TestShardFloodSmoke -v ./internal/loadgen/
 

@@ -123,12 +123,10 @@ type Coordinator struct {
 	rejectedByClient map[string]int
 
 	// viewMu serializes merged-view construction and guards the cache
-	// and the stable-ID tables. Lock order: viewMu first, then the
+	// and the merge-error ledger. Lock order: viewMu first, then the
 	// per-shard read locks in shard order.
 	viewMu       sync.Mutex
 	view         *mergedState
-	stable       [3]map[string]int
-	nextStable   [3]int
 	mergeErrors  int
 	lastMergeErr string
 
@@ -208,17 +206,13 @@ func NewReplicaSet(svcs []*stream.Service) (*Coordinator, error) {
 }
 
 func newCoordinator(role string) *Coordinator {
-	c := &Coordinator{
+	return &Coordinator{
 		rejectedBatches:  make(map[string]int),
 		rejectedEvents:   make(map[string]int),
 		rejectedByClient: make(map[string]int),
 		role:             role,
 		start:            time.Now(),
 	}
-	for d := range c.stable {
-		c.stable[d] = make(map[string]int)
-	}
-	return c
 }
 
 // SetRole overrides the role label in the aggregate stats; the daemon

@@ -10,8 +10,7 @@ package shard
 // touching the shards' engines, and a batch that crossed no EPM epoch
 // re-merges at most the B partition. A single shard serves its own
 // views instead: a merge reads only epoch-integrated instances, so it
-// would drop the shard's provisional classifications between epochs
-// and mint stable IDs of its own.
+// would drop the shard's provisional classifications between epochs.
 
 import (
 	"fmt"
@@ -61,10 +60,9 @@ type mergedState struct {
 	// partition.
 	epm [3]*epm.Clustering
 	b   *bcluster.Result
-	// stableIDs maps each merged EPM cluster index to its
-	// coordinator-level stable ID (minted largest-first, kept for the
-	// coordinator's lifetime — a pattern keeps its ID across snapshots).
-	stableIDs [3][]int
+	// ids holds the stable ID of each merged EPM cluster
+	// (stream.ClusterIDs).
+	ids [3][]int64
 }
 
 // counters are the per-shard query counters a merged view reports
@@ -122,7 +120,7 @@ func (c *Coordinator) merged() (*mergedState, counters, error) {
 		return old, live, nil
 	}
 	if old != nil {
-		m.epm, m.b, m.stableIDs = old.epm, old.b, old.stableIDs
+		m.epm, m.b, m.ids = old.epm, old.b, old.ids
 	}
 
 	var err error
@@ -136,7 +134,10 @@ func (c *Coordinator) merged() (*mergedState, counters, error) {
 			for i, k := range keys {
 				parts[i] = k.eng
 			}
-			if m.epm[d], err = epm.Merge(parts); err != nil {
+			if m.epm[d], err = epm.Merge(parts); err == nil {
+				m.ids[d], err = stream.ClusterIDs(m.epm[d])
+			}
+			if err != nil {
 				return
 			}
 		}
@@ -149,9 +150,10 @@ func (c *Coordinator) merged() (*mergedState, counters, error) {
 		}
 	}()
 	if err != nil {
-		// A merge can only fail on incompatible engines or a sample
-		// routed to two shards — a bug, not an operational state. Keep
-		// serving the previous snapshot and surface the error in Stats.
+		// A merge can only fail on incompatible engines, a sample routed
+		// to two shards or two patterns sharing a stable ID — a bug or a
+		// hash collision, not an operational state. Keep serving the
+		// previous snapshot and surface the error in Stats.
 		c.mergeErrors++
 		c.lastMergeErr = err.Error()
 		if old != nil {
@@ -160,24 +162,6 @@ func (c *Coordinator) merged() (*mergedState, counters, error) {
 		return nil, live, fmt.Errorf("shard: merging views: %w", err)
 	}
 
-	// Only a rebuilt dimension can hold a pattern without a stable ID,
-	// so minting visits the rebuilt ones, in dimension order.
-	for d := range m.epm {
-		if !epmDirty[d] {
-			continue
-		}
-		m.stableIDs[d] = make([]int, len(m.epm[d].Clusters))
-		for i := range m.epm[d].Clusters {
-			key := m.epm[d].Clusters[i].Pattern.Key()
-			id, ok := c.stable[d][key]
-			if !ok {
-				id = c.nextStable[d]
-				c.nextStable[d]++
-				c.stable[d][key] = id
-			}
-			m.stableIDs[d][i] = id
-		}
-	}
 	c.view = m
 	return m, live, nil
 }
@@ -224,7 +208,7 @@ func (c *Coordinator) EPMClusters(name string) (stream.EPMView, error) {
 		cl := &m.epm[d].Clusters[i]
 		view.Instances += len(cl.InstanceIDs)
 		view.Clusters[i] = stream.EPMClusterView{
-			StableID:  m.stableIDs[d][i],
+			StableID:  m.ids[d][i],
 			EpochID:   cl.ID,
 			Pattern:   cl.Pattern.Values,
 			Size:      len(cl.InstanceIDs),
@@ -281,9 +265,9 @@ func (m *mergedState) BCluster(md5 string) (rep string, size int) {
 
 // MCluster resolves an event's stable merged μ-cluster ID
 // (stream.Membership).
-func (m *mergedState) MCluster(eventID string) (int, bool) {
+func (m *mergedState) MCluster(eventID string) (int64, bool) {
 	if ci := m.epm[2].ClusterOf(eventID); ci >= 0 {
-		return m.stableIDs[2][ci], true
+		return m.ids[2][ci], true
 	}
 	return 0, false
 }

@@ -338,8 +338,8 @@ func pinnedService(t *testing.T) (svc *stream.Service, cfg stream.Config, dir st
 // recovered from the flushed checkpoint writes it again, byte for byte.
 func TestCheckpointBytesPinned(t *testing.T) {
 	const (
-		wantMid   = "26f0cdb8d99dd31dfe726440a7da979d906f16b01100bbd2701486eefcb82ad9"
-		wantFinal = "3de5401b30c453c514af8d0654005560a72fc5116c6ae206b531ed238f740d15"
+		wantMid   = "7a8048c0823961617d2ba125d99c185749212bf49ff328779abc95941cb9ea38"
+		wantFinal = "5693e1bd1685f75d5f58287d3971b7428ff7b7d7eb94d2945fb0127716e8def9"
 	)
 	svc, cfg, dir, mid, final := pinnedService(t)
 	if !bytes.Contains(final, []byte(`"sets":[[],`)) || !bytes.Contains(final, []byte(`{"md5":"md5-empty-0","set":0}`)) {

@@ -87,8 +87,8 @@ type ckptGeneration struct {
 
 // walRecord is the WAL payload: the raw accepted request. Batches are
 // logged before validation, so replay reproduces rejection and
-// duplicate accounting too; flushes are logged because flush-forced
-// epochs mint stable cluster IDs that recovery must re-mint.
+// duplicate accounting too; flushes are logged because a flush-forced
+// epoch moves the epoch boundaries that recovery must reproduce.
 type walRecord struct {
 	Kind   string          `json:"kind"`
 	Events []dataset.Event `json:"events,omitempty"`
@@ -179,10 +179,8 @@ type checkpointCounters struct {
 
 // dimState is one EPM dimension's non-derivable state.
 type dimState struct {
-	Epoch      int            `json:"epoch"`
-	BuiltLen   int            `json:"built_len"`
-	NextStable int            `json:"next_stable"`
-	Stable     map[string]int `json:"stable,omitempty"`
+	Epoch    int `json:"epoch"`
+	BuiltLen int `json:"built_len"`
 }
 
 type retryEntryState struct {
@@ -472,7 +470,7 @@ func (s *Service) encodeCheckpoint(w io.Writer) error {
 		})
 		dims := new([3]dimState)
 		for i, d := range s.dims {
-			dims[i] = dimState{Epoch: d.epoch, BuiltLen: d.builtLen, NextStable: d.nextStable, Stable: d.stable}
+			dims[i] = dimState{Epoch: d.epoch, BuiltLen: d.builtLen}
 		}
 		o.field("dims", dims)
 		o.key("b")
@@ -1037,11 +1035,13 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 
 // checkRefs refuses decoded state that no service writes: a retry entry
 // with an unknown stage, negative attempts, or a sample the pool already
-// holds; a client without a ledger; and a retry entry, quarantine entry
-// or B input that names a sample no checkpointed event introduced.
-// Restored, an unknown stage or a repeated sample stayed in the retry
-// pool for good, and every later Flush, which drains the pool until it
-// is empty, spun forever.
+// holds; a client without a ledger; and a retry entry, quarantine entry,
+// B input, sample client or sample group that names a sample no
+// checkpointed event introduced. Restored, an unknown stage or a
+// repeated sample stayed in the retry pool for good, and every later
+// Flush, which drains the pool until it is empty, spun forever; a sample
+// client for a sample yet to arrive charged that sample, on arrival, to
+// the client the file named.
 func (s *Service) checkRefs(cp *checkpointFile, inputs []bcluster.IncrementalInput) error {
 	known := func(what, md5 string) error {
 		if s.ds.Sample(md5) == nil {
@@ -1071,6 +1071,16 @@ func (s *Service) checkRefs(cp *checkpointFile, inputs []bcluster.IncrementalInp
 	}
 	for _, in := range inputs {
 		if err := known("B input", in.ID); err != nil {
+			return err
+		}
+	}
+	for md5 := range cp.SampleClients {
+		if err := known("sample client", md5); err != nil {
+			return err
+		}
+	}
+	for md5 := range cp.SampleGroups {
+		if err := known("sample group", md5); err != nil {
 			return err
 		}
 	}
@@ -1132,17 +1142,12 @@ func decodeArray(dec *json.Decoder, elem func() error) error {
 // prefix to a fresh engine and runs one epoch over it — a full regroup
 // whose output is byte-identical to the original epoch-by-epoch
 // evolution (the differential property the epm tests prove). Epoch
-// assignments re-derive through the restored stable-ID table, and
+// assignments and stable IDs re-derive from that clustering, and
 // post-watermark instances re-classify exactly as the live add path did.
 func (d *dimension) restore(st dimState, instances []epm.Instance) error {
 	if st.BuiltLen < 0 || st.BuiltLen > len(instances) {
 		return fmt.Errorf("stream: dimension %s: checkpoint watermark %d out of range [0,%d]",
 			d.schema.Dimension, st.BuiltLen, len(instances))
-	}
-	d.nextStable = st.NextStable
-	d.stable = make(map[string]int, len(st.Stable))
-	for k, v := range st.Stable {
-		d.stable[k] = v
 	}
 	for _, in := range instances[:st.BuiltLen] {
 		if err := d.eng.Add(in); err != nil {

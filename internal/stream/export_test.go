@@ -103,7 +103,7 @@ func MarshalCheckpoint(s *Service) []byte {
 		cp.SampleGroups = s.sampleGroup
 	}
 	for i, d := range s.dims {
-		cp.Dims[i] = dimState{Epoch: d.epoch, BuiltLen: d.builtLen, NextStable: d.nextStable, Stable: d.stable}
+		cp.Dims[i] = dimState{Epoch: d.epoch, BuiltLen: d.builtLen}
 	}
 	for _, e := range s.retry.entries {
 		cp.Retry = append(cp.Retry, retryEntryState{

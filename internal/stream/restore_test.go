@@ -284,6 +284,12 @@ func TestRestoreRefusesInvalidState(t *testing.T) {
 		{"B input for an unknown sample", "sets", value("inputs", func(v string) string {
 			return strings.Replace(v, `"id":"a"`, `"id":"nowhere"`, 1)
 		}), "B input names unknown sample"},
+		{"sample client for an unknown sample", "defended", value("sample_clients", func(v string) string {
+			return replaceFirst(v, `"[^"]*":`, `"nowhere":`)
+		}), "sample client names unknown sample"},
+		{"sample group for an unknown sample", "defended", value("sample_groups", func(v string) string {
+			return replaceFirst(v, `"[^"]*":`, `"nowhere":`)
+		}), "sample group names unknown sample"},
 		{"sample set index out of range", "sets", value("samples", func(v string) string {
 			return replaceFirst(v, `"set":\d+`, `"set":99`)
 		}), "set index 99 out of range"},

@@ -49,7 +49,7 @@ type Membership interface {
 	// holding md5; size 0 when none does.
 	BCluster(md5 string) (rep string, size int)
 	// MCluster returns the stable μ-cluster ID of an event.
-	MCluster(eventID string) (int, bool)
+	MCluster(eventID string) (int64, bool)
 }
 
 // StatsPayload adapts Stats to the httpapi backend interface, which

@@ -14,9 +14,9 @@
 // regroup only when an invariant threshold crossing invalidates the
 // pattern tree, so epoch cost tracks new arrivals rather than corpus
 // size while the output stays byte-identical to a full re-run of
-// discovery over every instance. Cluster identity survives epochs:
-// every pattern key is assigned a stable cluster ID on first appearance
-// and keeps it forever, so queries never see an ID change meaning.
+// discovery over every instance. A cluster's stable ID is a function of
+// its dimension and pattern (ClusterIDs), so it survives epochs and is
+// the same at every epoch size, shard count, recovery and replica.
 //
 // New samples are labeled and sandbox-executed on first sight and parked
 // in the incremental B-clusterer (bcluster.Incremental), which probes
@@ -29,9 +29,11 @@ package stream
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -981,7 +983,7 @@ func parallelEach(n, workers int, fn func(i int)) {
 
 // dimension is the incremental state of one EPM dimension. The epoch
 // engine (epm.Incremental) owns the instance log, the per-feature value
-// sketches, and the pattern groups; the dimension layers the service's
+// sketches, and the pattern groups; the dimension layers the epoch's
 // stable cluster IDs and provisional fast-path classifications on top.
 type dimension struct {
 	schema     epm.Schema
@@ -993,14 +995,14 @@ type dimension struct {
 	builtLen     int // eng.Len() at the last epoch
 	pendingCount int
 
-	stable     map[string]int // pattern key -> stable cluster ID
-	nextStable int
+	ids   []int64 // stable ID of each epoch cluster (ClusterIDs)
+	idErr error   // the collision ClusterIDs found among them, if any
 	// provAssign maps only the instances the fast path classified since
 	// the last epoch; epoch-built instances resolve through the engine
 	// (assignOf), so the dimension never mirrors the corpus-sized
 	// instance -> cluster table the engine already maintains.
-	provAssign  map[string]int // instance ID -> provisional stable cluster ID
-	provisional map[int]int    // stable ID -> members classified since the last epoch
+	provAssign  map[string]int // instance ID -> epoch cluster index
+	provisional []int          // epoch cluster index -> members classified since the last epoch
 }
 
 func newDimension(schema epm.Schema, th epm.Thresholds) (*dimension, error) {
@@ -1009,12 +1011,10 @@ func newDimension(schema epm.Schema, th epm.Thresholds) (*dimension, error) {
 		return nil, err
 	}
 	return &dimension{
-		schema:      schema,
-		thresholds:  th,
-		eng:         eng,
-		stable:      make(map[string]int),
-		provAssign:  make(map[string]int),
-		provisional: make(map[int]int),
+		schema:     schema,
+		thresholds: th,
+		eng:        eng,
+		provAssign: make(map[string]int),
 	}, nil
 }
 
@@ -1029,10 +1029,9 @@ func (d *dimension) add(in epm.Instance) error {
 		return err
 	}
 	if d.clustering != nil {
-		if p, _, ok := d.clustering.Classify(in.Values); ok {
-			sid := d.stableOf(p.Key())
-			d.provAssign[in.ID] = sid
-			d.provisional[sid]++
+		if _, ci, ok := d.clustering.Classify(in.Values); ok {
+			d.provAssign[in.ID] = ci
+			d.provisional[ci]++
 			return nil
 		}
 	}
@@ -1047,28 +1046,19 @@ func (d *dimension) add(in epm.Instance) error {
 func (d *dimension) rebuild() {
 	c, _ := d.eng.Epoch()
 	d.clustering = c
+	d.ids, d.idErr = ClusterIDs(c)
 	d.epoch++
 	d.builtLen = d.eng.Len()
 	d.pendingCount = 0
-	clear(d.provisional)
+	d.provisional = make([]int, len(c.Clusters))
 	clear(d.provAssign)
-	// Clusters are visited largest-first, so fresh patterns take stable
-	// IDs in that (deterministic) order; patterns seen in any earlier
-	// epoch keep the ID they were born with. Minting is all an epoch has
-	// to do: per-instance assignments — including the instances the fast
-	// path classified provisionally, whose pattern match the fresh
-	// clustering supersedes — resolve through the engine on demand
-	// (assignOf), so the epoch never sweeps a corpus-sized table.
-	for i := range c.Clusters {
-		d.stableOf(c.Clusters[i].Pattern.Key())
-	}
 }
 
 // assignOf resolves the stable cluster ID of an instance: provisional
 // fast-path classifications first, then the engine's epoch assignment.
-func (d *dimension) assignOf(id string) (int, bool) {
-	if sid, ok := d.provAssign[id]; ok {
-		return sid, true
+func (d *dimension) assignOf(id string) (int64, bool) {
+	if ci, ok := d.provAssign[id]; ok {
+		return d.ids[ci], true
 	}
 	if d.clustering == nil {
 		return 0, false
@@ -1077,18 +1067,44 @@ func (d *dimension) assignOf(id string) (int, bool) {
 	if ci < 0 {
 		return 0, false
 	}
-	return d.stable[d.clustering.Clusters[ci].Pattern.Key()], true
+	return d.ids[ci], true
 }
 
-// stableOf resolves (or mints) the stable cluster ID of a pattern key.
-func (d *dimension) stableOf(key string) int {
-	if id, ok := d.stable[key]; ok {
-		return id
+// ClusterIDs returns the stable ID of each cluster of c: the first 53
+// bits of the SHA-256 of the dimension name, a NUL byte and the pattern
+// key. The ID depends on nothing but the pattern, so every epoch, shard
+// count, recovery and replica serves the same one; below 2^53 it reads
+// exactly as a JSON number in JavaScript too. Two clusters sharing an ID
+// are an *IDCollisionError, returned with every ID computed.
+func ClusterIDs(c *epm.Clustering) ([]int64, error) {
+	ids := make([]int64, len(c.Clusters))
+	seen := make(map[int64]int, len(c.Clusters))
+	buf := append([]byte(c.Schema.Dimension), 0)
+	n := len(buf)
+	var err error
+	for i := range c.Clusters {
+		buf = append(buf[:n], c.Clusters[i].Pattern.Key()...)
+		sum := sha256.Sum256(buf)
+		ids[i] = int64(binary.BigEndian.Uint64(sum[:]) >> 11)
+		if j, ok := seen[ids[i]]; ok && err == nil {
+			err = &IDCollisionError{Dimension: c.Schema.Dimension, ID: ids[i],
+				Keys: [2]string{c.Clusters[j].Pattern.Key(), c.Clusters[i].Pattern.Key()}}
+		}
+		seen[ids[i]] = i
 	}
-	id := d.nextStable
-	d.nextStable++
-	d.stable[key] = id
-	return id
+	return ids, err
+}
+
+// IDCollisionError reports two patterns of one dimension whose stable
+// cluster IDs coincide.
+type IDCollisionError struct {
+	Dimension string
+	ID        int64
+	Keys      [2]string
+}
+
+func (e *IDCollisionError) Error() string {
+	return fmt.Sprintf("stream: %s patterns %q and %q share cluster ID %d", e.Dimension, e.Keys[0], e.Keys[1], e.ID)
 }
 
 // clusterViews snapshots the dimension's clusters.
@@ -1099,12 +1115,11 @@ func (d *dimension) clusterViews() []EPMClusterView {
 	out := make([]EPMClusterView, 0, len(d.clustering.Clusters))
 	for i := range d.clustering.Clusters {
 		cl := &d.clustering.Clusters[i]
-		sid := d.stable[cl.Pattern.Key()]
 		out = append(out, EPMClusterView{
-			StableID:  sid,
+			StableID:  d.ids[i],
 			EpochID:   cl.ID,
 			Pattern:   cl.Pattern.Values,
-			Size:      cl.Size() + d.provisional[sid],
+			Size:      cl.Size() + d.provisional[i],
 			Attackers: cl.Attackers,
 			Sensors:   cl.Sensors,
 		})
@@ -1134,8 +1149,9 @@ func (s *Service) dim(name string) (*dimension, error) {
 
 // EPMClusterView is one cluster of an EPM dimension snapshot.
 type EPMClusterView struct {
-	// StableID survives epochs: a pattern keeps its ID forever.
-	StableID int `json:"stable_id"`
+	// StableID is the pattern's 53-bit hash (ClusterIDs): the same on
+	// every epoch and deployment shape.
+	StableID int64 `json:"stable_id"`
 	// EpochID is the dense largest-first index within the current epoch.
 	EpochID int `json:"epoch_id"`
 	// Pattern is the invariant tuple (wildcards included).
@@ -1168,6 +1184,9 @@ func (s *Service) EPMClusters(name string) (EPMView, error) {
 	d, err := s.dim(name)
 	if err != nil {
 		return EPMView{}, err
+	}
+	if d.idErr != nil {
+		return EPMView{}, d.idErr
 	}
 	return EPMView{
 		Dimension: d.schema.Dimension,
@@ -1239,7 +1258,7 @@ type SampleView struct {
 	BRepresentative string `json:"b_representative,omitempty"`
 	BSize           int    `json:"b_size"`
 	// MClusters lists the stable μ-cluster IDs of the sample's events.
-	MClusters []int `json:"m_clusters"`
+	MClusters []int64 `json:"m_clusters"`
 }
 
 // Sample queries one sample by MD5.
@@ -1285,9 +1304,9 @@ func (s *Service) SampleIn(md5 string, views Membership) (SampleView, bool) {
 	if c, ok := s.sampleClient[md5]; ok && c != "" {
 		v.Client = c
 	}
-	mSet := map[int]bool{}
+	v.MClusters = []int64{}
 	for _, e := range s.ds.EventsOfSample(md5) {
-		var sid int
+		var sid int64
 		var ok bool
 		if views != nil {
 			sid, ok = views.MCluster(e.ID)
@@ -1295,14 +1314,11 @@ func (s *Service) SampleIn(md5 string, views Membership) (SampleView, bool) {
 			sid, ok = s.dims[2].assignOf(e.ID)
 		}
 		if ok {
-			mSet[sid] = true
+			v.MClusters = append(v.MClusters, sid)
 		}
 	}
-	v.MClusters = make([]int, 0, len(mSet))
-	for sid := range mSet {
-		v.MClusters = append(v.MClusters, sid)
-	}
-	sort.Ints(v.MClusters)
+	slices.Sort(v.MClusters)
+	v.MClusters = slices.Compact(v.MClusters)
 	return v, true
 }
 

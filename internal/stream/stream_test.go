@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -367,5 +368,37 @@ func TestBResultCacheFollowsEveryMutation(t *testing.T) {
 	check("restored replica", rep)
 	if !reflect.DeepEqual(rep.BClusters(), svc.BClusters()) {
 		t.Fatal("the restored replica serves another B view than its primary")
+	}
+}
+
+// TestClusterIDCollision: two patterns of one dimension whose 53-bit
+// stable IDs coincide are a typed error naming the dimension, the ID and
+// both keys, and every ID is still computed. The pair was found offline
+// by a Brent cycle search over x -> the ID of the 14-digit hex key of x
+// in dimension "epsilon".
+func TestClusterIDCollision(t *testing.T) {
+	const a, b, id = "07c2309ab0c8da", "12846f17294290", 1376905228246987
+	c := &epm.Clustering{
+		Schema: epm.Schema{Dimension: "epsilon"},
+		Clusters: []epm.Cluster{
+			{ID: 0, Pattern: epm.Pattern{Values: []string{a}}},
+			{ID: 1, Pattern: epm.Pattern{Values: []string{"*"}}},
+			{ID: 2, Pattern: epm.Pattern{Values: []string{b}}},
+		},
+	}
+	ids, err := stream.ClusterIDs(c)
+	var coll *stream.IDCollisionError
+	if !errors.As(err, &coll) {
+		t.Fatalf("ClusterIDs error %v, want *IDCollisionError", err)
+	}
+	if coll.Dimension != "epsilon" || coll.ID != id || coll.Keys != [2]string{a, b} {
+		t.Fatalf("collision %+v, want epsilon %d between %q and %q", *coll, id, a, b)
+	}
+	if len(ids) != 3 || ids[0] != id || ids[2] != id || ids[1] == id || ids[1] >= 1<<53 {
+		t.Fatalf("ids %v, want %d at 0 and 2 and a third below 2^53", ids, id)
+	}
+	c.Schema.Dimension = "pi"
+	if ids, err := stream.ClusterIDs(c); err != nil || ids[0] == ids[2] {
+		t.Fatalf("in another dimension: ids %v, err %v; want three distinct IDs", ids, err)
 	}
 }
