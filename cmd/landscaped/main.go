@@ -247,12 +247,18 @@ func run(o options) error {
 			MaxWaiters:    o.maxWaiters,
 			Seed:          o.seed,
 		},
-		Defense: stream.Defense{
-			MergeResistance: o.defendMerge,
-			TrustPenalty:    o.defendTrust,
-			DisagreeQuorum:  o.defendDisagree,
-		},
 		StatsClients: o.statsClients,
+	}
+	// Each -defend-* flag overrides its knob of the scenario's
+	// B-clustering config when set.
+	if o.defendMerge != 0 {
+		cfg.BCluster.MergeResistance = o.defendMerge
+	}
+	if o.defendTrust != 0 {
+		cfg.BCluster.TrustPenalty = o.defendTrust
+	}
+	if o.defendDisagree != 0 {
+		cfg.BCluster.GroupQuorum = o.defendDisagree
 	}
 	if o.walDir != "" {
 		cfg.Durability = stream.Durability{

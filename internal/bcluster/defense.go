@@ -138,7 +138,8 @@ type defenseState struct {
 	restoreHolds  map[int][2]int
 }
 
-func (c Config) defenseEnabled() bool {
+// Defended reports whether any defense knob is on.
+func (c Config) Defended() bool {
 	return c.MergeResistance > 0 || c.TrustPenalty > 0 || c.GroupQuorum > 0
 }
 

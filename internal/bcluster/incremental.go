@@ -74,7 +74,7 @@ func NewIncremental(cfg Config) (*Incremental, error) {
 		firstCopy: make(map[*behavior.Set]int),
 		uf:        newUnionFind(0),
 	}
-	if cfg.defenseEnabled() {
+	if cfg.Defended() {
 		inc.def = &defenseState{
 			groupCount: make(map[string]int),
 			holds:      make(map[int][2]int),

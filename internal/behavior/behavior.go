@@ -122,47 +122,6 @@ type Program struct {
 	Fragility float64
 }
 
-// Clone returns a deep copy of the program.
-func (p *Program) Clone() *Program {
-	if p == nil {
-		return nil
-	}
-	out := &Program{Name: p.Name, Ops: make([]Op, len(p.Ops)), Fragility: p.Fragility}
-	copy(out.Ops, p.Ops)
-	for i := range out.Ops {
-		out.Ops[i].Payload = out.Ops[i].Payload.Clone()
-	}
-	return out
-}
-
-// Validate checks structural constraints on the program.
-func (p *Program) Validate() error {
-	if p == nil {
-		return fmt.Errorf("behavior: nil program")
-	}
-	if p.Fragility < 0 || p.Fragility > 1 {
-		return fmt.Errorf("behavior: %s fragility %v outside [0,1]", p.Name, p.Fragility)
-	}
-	for i, op := range p.Ops {
-		if op.Kind < OpCreateFile || op.Kind > OpSleep {
-			return fmt.Errorf("behavior: %s op %d has invalid kind %d", p.Name, i, op.Kind)
-		}
-		if op.OnFailSkip < 0 {
-			return fmt.Errorf("behavior: %s op %d has negative OnFailSkip", p.Name, i)
-		}
-		if op.OnFailSkip > len(p.Ops)-i-1 {
-			return fmt.Errorf("behavior: %s op %d skips %d ops but only %d follow",
-				p.Name, i, op.OnFailSkip, len(p.Ops)-i-1)
-		}
-		if op.Payload != nil {
-			if err := op.Payload.Validate(); err != nil {
-				return fmt.Errorf("behavior: %s op %d payload: %w", p.Name, i, err)
-			}
-		}
-	}
-	return nil
-}
-
 // Profile is a behavioral profile: the set of abstract features observed
 // during one sandbox execution of a sample.
 //

@@ -6,75 +6,6 @@ import (
 	"testing/quick"
 )
 
-func sampleProgram() *Program {
-	return &Program{
-		Name: "test-bot",
-		Ops: []Op{
-			{Kind: OpCreateFile, Path: `C:\WINDOWS\system32\svhost.exe`},
-			{Kind: OpSetRegistry, Path: `HKLM\Software\Microsoft\Windows\CurrentVersion\Run\svhost`},
-			{Kind: OpDNSResolve, Host: "cnc.example.net", OnFailSkip: 2},
-			{Kind: OpTCPConnect, Host: "cnc.example.net", Port: 6667, OnFailSkip: 1},
-			{Kind: OpIRCConnect, Host: "cnc.example.net", Port: 6667, Channel: "#kok6",
-				Payload: &Program{Name: "commands", Ops: []Op{
-					{Kind: OpScanNetwork, Port: 445},
-				}}},
-		},
-	}
-}
-
-func TestValidateAccepts(t *testing.T) {
-	if err := sampleProgram().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRejects(t *testing.T) {
-	tests := []struct {
-		name   string
-		mutate func(*Program)
-	}{
-		{"nil program", nil},
-		{"bad kind", func(p *Program) { p.Ops[0].Kind = 0 }},
-		{"kind too large", func(p *Program) { p.Ops[0].Kind = OpSleep + 1 }},
-		{"negative skip", func(p *Program) { p.Ops[0].OnFailSkip = -1 }},
-		{"skip past end", func(p *Program) { p.Ops[len(p.Ops)-1].OnFailSkip = 1 }},
-		{"invalid payload", func(p *Program) { p.Ops[4].Payload.Ops[0].Kind = 99 }},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if tt.mutate == nil {
-				var p *Program
-				if err := p.Validate(); err == nil {
-					t.Error("nil program must fail validation")
-				}
-				return
-			}
-			p := sampleProgram()
-			tt.mutate(p)
-			if err := p.Validate(); err == nil {
-				t.Error("Validate accepted an invalid program")
-			}
-		})
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	p := sampleProgram()
-	c := p.Clone()
-	c.Ops[0].Path = "mutated"
-	c.Ops[4].Payload.Ops[0].Port = 9999
-	if p.Ops[0].Path == "mutated" {
-		t.Error("Clone shares op slice")
-	}
-	if p.Ops[4].Payload.Ops[0].Port == 9999 {
-		t.Error("Clone shares nested payload")
-	}
-	var nilP *Program
-	if nilP.Clone() != nil {
-		t.Error("Clone of nil must be nil")
-	}
-}
-
 func TestProfileBasics(t *testing.T) {
 	p := NewProfile()
 	if p.Len() != 0 {

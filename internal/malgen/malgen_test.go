@@ -1,8 +1,10 @@
 package malgen
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/behavior"
 	"repro/internal/netmodel"
 	"repro/internal/pe"
 	"repro/internal/polymorph"
@@ -234,10 +236,90 @@ func TestVariantLookup(t *testing.T) {
 	}
 }
 
+// validateProgram checks the structural constraints that every behavior
+// program the generator emits must meet.
+func validateProgram(p *behavior.Program) error {
+	if p == nil {
+		return fmt.Errorf("behavior: nil program")
+	}
+	if p.Fragility < 0 || p.Fragility > 1 {
+		return fmt.Errorf("behavior: %s fragility %v outside [0,1]", p.Name, p.Fragility)
+	}
+	for i, op := range p.Ops {
+		if op.Kind < behavior.OpCreateFile || op.Kind > behavior.OpSleep {
+			return fmt.Errorf("behavior: %s op %d has invalid kind %d", p.Name, i, op.Kind)
+		}
+		if op.OnFailSkip < 0 {
+			return fmt.Errorf("behavior: %s op %d has negative OnFailSkip", p.Name, i)
+		}
+		if op.OnFailSkip > len(p.Ops)-i-1 {
+			return fmt.Errorf("behavior: %s op %d skips %d ops but only %d follow",
+				p.Name, i, op.OnFailSkip, len(p.Ops)-i-1)
+		}
+		if op.Payload != nil {
+			if err := validateProgram(op.Payload); err != nil {
+				return fmt.Errorf("behavior: %s op %d payload: %w", p.Name, i, err)
+			}
+		}
+	}
+	return nil
+}
+
+func sampleProgram() *behavior.Program {
+	return &behavior.Program{
+		Name: "test-bot",
+		Ops: []behavior.Op{
+			{Kind: behavior.OpCreateFile, Path: `C:\WINDOWS\system32\svhost.exe`},
+			{Kind: behavior.OpSetRegistry, Path: `HKLM\Software\Microsoft\Windows\CurrentVersion\Run\svhost`},
+			{Kind: behavior.OpDNSResolve, Host: "cnc.example.net", OnFailSkip: 2},
+			{Kind: behavior.OpTCPConnect, Host: "cnc.example.net", Port: 6667, OnFailSkip: 1},
+			{Kind: behavior.OpIRCConnect, Host: "cnc.example.net", Port: 6667, Channel: "#kok6",
+				Payload: &behavior.Program{Name: "commands", Ops: []behavior.Op{
+					{Kind: behavior.OpScanNetwork, Port: 445},
+				}}},
+		},
+	}
+}
+
+func TestValidateProgramAccepts(t *testing.T) {
+	if err := validateProgram(sampleProgram()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestValidateProgramRejects(t *testing.T) {
+	tests := []struct {
+		name   string
+		mutate func(*behavior.Program)
+	}{
+		{"nil program", nil},
+		{"bad kind", func(p *behavior.Program) { p.Ops[0].Kind = 0 }},
+		{"kind too large", func(p *behavior.Program) { p.Ops[0].Kind = behavior.OpSleep + 1 }},
+		{"negative skip", func(p *behavior.Program) { p.Ops[0].OnFailSkip = -1 }},
+		{"skip past end", func(p *behavior.Program) { p.Ops[len(p.Ops)-1].OnFailSkip = 1 }},
+		{"invalid payload", func(p *behavior.Program) { p.Ops[4].Payload.Ops[0].Kind = 99 }},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if tt.mutate == nil {
+				if err := validateProgram(nil); err == nil {
+					t.Error("nil program must fail validation")
+				}
+				return
+			}
+			p := sampleProgram()
+			tt.mutate(p)
+			if err := validateProgram(p); err == nil {
+				t.Error("validateProgram accepted an invalid program")
+			}
+		})
+	}
+}
+
 func TestAllProgramsValidate(t *testing.T) {
 	l := generate(t, SmallConfig(), 7)
 	for _, v := range l.Variants() {
-		if err := v.Program.Validate(); err != nil {
+		if err := validateProgram(v.Program); err != nil {
 			t.Errorf("%s: %v", v.Name, err)
 		}
 		if _, err := v.Template.Build(); err != nil {

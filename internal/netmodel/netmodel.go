@@ -70,18 +70,6 @@ type Prefix struct {
 	Bits int // prefix length, 0..32
 }
 
-func (p Prefix) mask(ip IP) IP {
-	if p.Bits <= 0 {
-		return 0
-	}
-	return ip &^ (1<<(32-p.Bits) - 1)
-}
-
-// Contains reports whether ip belongs to the prefix.
-func (p Prefix) Contains(ip IP) bool {
-	return p.mask(ip) == p.Base
-}
-
 // Size returns the number of addresses covered by the prefix.
 func (p Prefix) Size() uint64 {
 	return 1 << (32 - p.Bits)

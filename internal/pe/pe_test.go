@@ -359,18 +359,6 @@ func TestMD5ChangesWithContent(t *testing.T) {
 	}
 }
 
-func TestImageAccessors(t *testing.T) {
-	img := testImage()
-	names := img.SectionNames()
-	if len(names) != 4 || names[3] != ".idata" {
-		t.Errorf("SectionNames = %v", names)
-	}
-	img.Imports = nil
-	if got := len(img.SectionNames()); got != 3 {
-		t.Errorf("SectionNames without imports = %d entries", got)
-	}
-}
-
 func BenchmarkBuild(b *testing.B) {
 	img := testImage()
 	b.ReportAllocs()

@@ -69,37 +69,34 @@ type Config struct {
 	Scenario core.Scenario
 	// Rates is the poison-rate schedule, e.g. {0, 0.05, 0.10}.
 	Rates []float64
-	// Defense configures the defended streaming runs; the zero value
-	// falls back to DefaultDefense.
-	Defense stream.Defense
 	// EpochSize and BatchSize shape the streaming replay; 0 selects 64
 	// for both.
 	EpochSize int
 	BatchSize int
 }
 
-// DefaultDefense is the defense configuration the sweep, the smoke
-// target, and the documentation quote. Merge resistance 3 holds bridges
-// between established victim cores while leaving organic growth alone
-// (a lone sample closing two three-strong components is already the
-// bridge signature; the SmallScenario baseline shows no false holds);
-// trust penalty 0.6 pushes a once-suspected client's effective link
-// threshold to 0.9, above the 0.75 dilution-to-victim and 5/7 bridge-
-// step overlap geometry; quorum 3 arms the cross-perspective anomaly
-// gate once a static μ-group has an established presence.
-func DefaultDefense() stream.Defense {
-	return stream.Defense{MergeResistance: 3, TrustPenalty: 0.6, DisagreeQuorum: 3}
+// DefaultDefense returns c with the defense configuration the sweep,
+// the smoke target, and the documentation quote. Merge resistance 3
+// holds bridges between established victim cores while leaving organic
+// growth alone (a lone sample closing two three-strong components is
+// already the bridge signature; the SmallScenario baseline shows no
+// false holds); trust penalty 0.6 pushes a once-suspected client's
+// effective link threshold to 0.9, above the 0.75 dilution-to-victim
+// and 5/7 bridge-step overlap geometry; quorum 3 arms the
+// cross-perspective anomaly gate once a static μ-group has an
+// established presence.
+func DefaultDefense(c bcluster.Config) bcluster.Config {
+	c.MergeResistance, c.TrustPenalty, c.GroupQuorum = 3, 0.6, 3
+	return c
 }
 
 // Sweep runs the rate schedule and returns two Reports per rate:
 // undefended batch, then defended streaming, both over the same
-// generated events.
+// generated events. The defended runs use the defenses the scenario's
+// Enrichment.BCluster sets, or DefaultDefense's when it sets none.
 func Sweep(ctx context.Context, cfg Config) ([]Report, error) {
 	if len(cfg.Rates) == 0 {
 		cfg.Rates = []float64{0, 0.05, 0.10}
-	}
-	if !cfg.Defense.Enabled() {
-		cfg.Defense = DefaultDefense()
 	}
 	var out []Report
 	for _, rate := range cfg.Rates {
@@ -134,11 +131,14 @@ func runDefended(ctx context.Context, batch *core.Results, truth map[string]stri
 	if epoch <= 0 {
 		epoch = 64
 	}
+	bc := batch.Scenario.Enrichment.BCluster
+	if !bc.Defended() {
+		bc = DefaultDefense(bc)
+	}
 	svc, err := stream.New(stream.Config{
 		EpochSize:  epoch,
 		Thresholds: batch.Scenario.Thresholds,
-		BCluster:   batch.Scenario.Enrichment.BCluster,
-		Defense:    cfg.Defense,
+		BCluster:   bc,
 	}, batch.Pipeline)
 	if err != nil {
 		return Report{}, fmt.Errorf("poison: defended service at rate %g: %w", rate, err)

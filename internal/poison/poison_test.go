@@ -109,8 +109,7 @@ func TestDefendedServiceLedgerAndDrain(t *testing.T) {
 	svc, err := stream.New(stream.Config{
 		EpochSize:    64,
 		Thresholds:   sc.Thresholds,
-		BCluster:     sc.Enrichment.BCluster,
-		Defense:      DefaultDefense(),
+		BCluster:     DefaultDefense(sc.Enrichment.BCluster),
 		StatsClients: true,
 	}, batch.Pipeline)
 	if err != nil {
@@ -191,6 +190,49 @@ func TestDefendedServiceLedgerAndDrain(t *testing.T) {
 	}
 	if !sawLoopback || !sawAttacker {
 		t.Fatalf("ledger missing loopback or attacker entry: %+v", st.Clients)
+	}
+}
+
+// TestDefenseKnobsOnBCluster runs the poisoned SmallScenario through a
+// service whose merge resistance and anomaly-gate quorum are set on
+// Config.BCluster, where a landscaped -scenario file sets them. The
+// service must run defended: the gate sees μ-groups and parks samples,
+// Stats reports the defense, and the flush drains every hold. The
+// partition has the 108 clusters these knobs gave through the service's
+// former separate defense config; with the gate blind it has 85.
+func TestDefenseKnobsOnBCluster(t *testing.T) {
+	sc := core.SmallScenario()
+	sc.Landscape.Poison.Rate = 0.10
+	batch, err := core.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stream.Config{EpochSize: 64, Thresholds: sc.Thresholds, BCluster: sc.Enrichment.BCluster}
+	cfg.BCluster.MergeResistance, cfg.BCluster.GroupQuorum = 3, 3
+	svc, err := stream.New(cfg, batch.Pipeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	if err := IngestByClient(ctx, svc, batch.Dataset.Events(), 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := svc.Stats()
+	if st.Defense == nil {
+		t.Fatal("a service defended through Config.BCluster reports no defense stats")
+	}
+	if st.Defense.ParkedTotal == 0 {
+		t.Error("the anomaly gate parked nothing")
+	}
+	if st.Defense.Held != 0 {
+		t.Errorf("the flush left %d samples held", st.Defense.Held)
+	}
+	if n := len(svc.BResult().Clusters); n != 108 {
+		t.Errorf("%d B clusters, want 108", n)
 	}
 }
 

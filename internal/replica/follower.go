@@ -483,11 +483,6 @@ func (f *Follower) IngestFrom(ctx context.Context, client string, events []datas
 	return stream.ErrReadOnly
 }
 
-// Ingest refuses: replicas are read-only.
-func (f *Follower) Ingest(ctx context.Context, events []dataset.Event) error {
-	return stream.ErrReadOnly
-}
-
 // Flush refuses: replicas are read-only.
 func (f *Follower) Flush(ctx context.Context) error { return stream.ErrReadOnly }
 
@@ -536,13 +531,4 @@ func (f *Follower) StatsPayload() any {
 		out.Backend = &st
 	}
 	return out
-}
-
-// Counts delegates to the backend (zero before bootstrap).
-func (f *Follower) Counts() (events, samples, executable, e, p, m, b int) {
-	bk := f.backendNow()
-	if bk == nil {
-		return 0, 0, 0, 0, 0, 0, 0
-	}
-	return bk.Counts()
 }

@@ -24,7 +24,7 @@ func parityConfig(dir string) stream.Config {
 	cfg := stream.DefaultConfig()
 	cfg.EpochSize = 8
 	cfg.StatsClients = true
-	cfg.Defense = stream.Defense{TrustPenalty: 0.5}
+	cfg.BCluster.TrustPenalty = 0.5
 	cfg.Admission = admission.Config{RatePerSec: 0.001, Burst: 12}
 	cfg.Durability = stream.Durability{Dir: dir, CheckpointEvery: 3, NoSync: true}
 	return cfg

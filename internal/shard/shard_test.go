@@ -557,7 +557,7 @@ func TestStatsPerShard(t *testing.T) {
 func TestCoordinatorForwardsClient(t *testing.T) {
 	cfg := coordConfig(8, 2)
 	cfg.Stream.StatsClients = true
-	cfg.Stream.Defense = stream.Defense{TrustPenalty: 0.5}
+	cfg.Stream.BCluster.TrustPenalty = 0.5
 	c := newCoordinator(t, cfg)
 	ctx := context.Background()
 

@@ -150,8 +150,8 @@ func TestCheckpointBytesDefended(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, dir := durable(t, stream.Config{
-		EpochSize: 64, Thresholds: sc.Thresholds, BCluster: sc.Enrichment.BCluster,
-		Defense: poison.DefaultDefense(), StatsClients: true,
+		EpochSize: 64, Thresholds: sc.Thresholds, BCluster: poison.DefaultDefense(sc.Enrichment.BCluster),
+		StatsClients: true,
 	})
 	svc, err := stream.New(cfg, batch.Pipeline)
 	if err != nil {
@@ -161,7 +161,7 @@ func TestCheckpointBytesDefended(t *testing.T) {
 	ctx := context.Background()
 	mid, _ := ingestHalves(t, "defended", svc, dir, batch.Dataset.Events(),
 		func(evs []dataset.Event) error { return poison.IngestByClient(ctx, svc, evs, 64) })
-	for _, field := range []string{`"clients":`, `"sample_clients":`, `"sample_groups":`, `"status":`, `"hold_pair":`, `"distrust":`} {
+	for _, field := range []string{`"clients":`, `"sample_clients":`, `"status":`, `"hold_pair":`, `"distrust":`} {
 		if !bytes.Contains(mid, []byte(field)) {
 			t.Errorf("mid-stream defended checkpoint has no %s field", field)
 		}

@@ -4,43 +4,23 @@ package stream
 // attributes every sample to the ingest client that first delivered it,
 // derives a distrust weight from the defense decisions the clusterer
 // makes against that client's samples, and feeds both the weight and
-// the sample's static μ-group back into the defended B-clusterer. All
-// of it is inert — no ledger, no extra checkpoint fields, the original
-// clustering code path — until a Defense knob or StatsClients is set.
+// the sample's static μ-group into the defended B-clusterer. All of it
+// is inert — no ledger, no extra checkpoint fields, the original
+// clustering code path — until a defense knob of Config.BCluster or
+// StatsClients is set.
 
 import (
 	"sort"
 	"strings"
 
 	"repro/internal/bcluster"
+	"repro/internal/behavior"
 	"repro/internal/dataset"
 )
 
-// Defense configures the online poisoning mitigations, forwarded into
-// the incremental B-clusterer (see the bcluster defense documentation
-// for the rules). The zero value disables all of them, keeping the
-// streaming pipeline byte-identical to the undefended service.
-type Defense struct {
-	// MergeResistance holds samples whose links would join two
-	// established components of at least this size (bridge attacks).
-	MergeResistance int
-	// TrustPenalty raises the link threshold for samples from
-	// distrusted clients by TrustPenalty * max(distrust of the pair).
-	TrustPenalty float64
-	// DisagreeQuorum parks samples whose behavioral links contradict
-	// their static μ-group once that many group members are integrated
-	// (the cross-perspective disagreement signal).
-	DisagreeQuorum int
-}
-
-// Enabled reports whether any defense knob is on.
-func (d Defense) Enabled() bool {
-	return d.MergeResistance > 0 || d.TrustPenalty > 0 || d.DisagreeQuorum > 0
-}
-
 // defended reports whether the B-clusterer runs with defenses on.
 func (s *Service) defended() bool {
-	return s.cfg.Defense.Enabled()
+	return s.cfg.BCluster.Defended()
 }
 
 // trackClients reports whether the per-client ledger is maintained:
@@ -80,49 +60,41 @@ func (s *Service) ledger(client string) *clientLedger {
 	return l
 }
 
-// sampleGroupOf derives a sample's static group from the event that
-// first delivered it: the μ-instance values joined into one key, minus
-// the leading MD5 — that value is unique per sample, while the rest
-// (file size, libmagic type, PE header shape, imports) is exactly what
-// the polymorphic engines leave invariant, so every sample minted from
-// one variant's template shares a group. Events without a μ projection
-// yield "", which the anomaly gate ignores.
-func sampleGroupOf(e dataset.Event) string {
-	in, ok := e.MuInstance()
-	if !ok || len(in.Values) < 2 {
-		return ""
-	}
-	return strings.Join(in.Values[1:], "\x1f")
-}
-
 // noteSampleOrigin records a first-seen sample's provenance. Callers
 // hold the write lock.
-func (s *Service) noteSampleOrigin(client string, e dataset.Event) {
+func (s *Service) noteSampleOrigin(client, md5 string) {
 	if !s.trackClients() {
 		return
 	}
-	md5 := e.Sample.MD5
 	if _, seen := s.sampleClient[md5]; seen {
 		return
 	}
 	s.sampleClient[md5] = client
 	s.ledger(client).Samples++
-	if s.defended() {
-		if g := sampleGroupOf(e); g != "" {
-			s.sampleGroup[md5] = g
-		}
-	}
 }
 
-// defenseInput decorates a B-clusterer input with the sample's group
-// and its client's current distrust. The distrust is frozen at Add
-// time — it is persisted with the input, which is what keeps the
-// defended partition exactly recoverable from a checkpoint.
-func (s *Service) defenseInput(in bcluster.Input) bcluster.Input {
+// sampleGroup derives a sample's static group from its μ-instance: the
+// values joined into one key, minus the leading MD5 — that value is
+// unique per sample, while the rest (file size, libmagic type, PE
+// header shape, imports) is exactly what the polymorphic engines leave
+// invariant, so every sample minted from one variant's template shares
+// a group. The sample's features are those of the event that introduced
+// it, so the group is a function of the sample alone.
+func sampleGroup(smp *dataset.Sample) string {
+	in, _ := dataset.Event{Sample: smp.Features}.MuInstance()
+	return strings.Join(in.Values[1:], "\x1f")
+}
+
+// bInput is a sample's B-clusterer input, decorated when defended with
+// the sample's group and its client's current distrust. The distrust is
+// frozen at Add time — it is persisted with the input, which is what
+// keeps the defended partition exactly recoverable from a checkpoint.
+func (s *Service) bInput(smp *dataset.Sample, profile *behavior.Profile) bcluster.Input {
+	in := bcluster.Input{ID: smp.MD5, Profile: profile}
 	if !s.defended() {
 		return in
 	}
-	in.Group = s.sampleGroup[in.ID]
+	in.Group = sampleGroup(smp)
 	if client, ok := s.sampleClient[in.ID]; ok && client != "" {
 		if l := s.clients[client]; l != nil {
 			in.Distrust = l.distrust()

@@ -5,7 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/enrich"
+	"repro/internal/poison"
 	"repro/internal/stream"
 )
 
@@ -115,5 +118,90 @@ func TestClientLedgerSurvivesRecovery(t *testing.T) {
 	v, ok := recovered.Sample("md5-va-0")
 	if !ok || v.Client != "alice" {
 		t.Fatalf("recovered sample attribution = %+v, %v", v, ok)
+	}
+}
+
+// TestDefendedRecoveryEquivalence is recovered ≡ uninterrupted for a
+// defended service in which some samples reach the B-clusterer only
+// after the restart: a transient-fault enricher keeps them in the retry
+// pool across the checkpoint, so the anomaly gate reads the μ-group the
+// recovered service derives for them from their features.
+func TestDefendedRecoveryEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the poisoned SmallScenario")
+	}
+	sc := core.SmallScenario()
+	sc.Landscape.Poison.Rate = 0.10
+	batch, err := core.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := batch.Dataset.Events()
+	ctx := context.Background()
+	// run feeds the events in two halves, restarting between them when
+	// durable. One enricher serves both lives, so its fault schedule
+	// runs on as in the uninterrupted run.
+	run := func(durable bool) *stream.Service {
+		cfg := stream.Config{
+			EpochSize: 64, Thresholds: sc.Thresholds, BCluster: poison.DefaultDefense(sc.Enrichment.BCluster),
+			StatsClients: true, Retry: stream.Retry{MaxAttempts: 6},
+		}
+		if durable {
+			cfg.Durability = stream.Durability{Dir: t.TempDir(), NoSync: true}
+		}
+		enricher := enrich.NewFaulty(batch.Pipeline, enrich.FaultConfig{FailFirst: 2})
+		svc, err := stream.New(cfg, enricher)
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := len(events) / 2
+		if err := poison.IngestByClient(ctx, svc, events[:half], 64); err != nil {
+			t.Fatal(err)
+		}
+		if durable {
+			if err := svc.Sync(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if svc.Stats().Retry.Pending == 0 {
+				t.Fatal("test premise broken: no sample waits in the retry pool at the restart")
+			}
+			if err := svc.Checkpoint(ctx); err != nil {
+				t.Fatal(err)
+			}
+			svc.Close()
+			if svc, err = stream.New(cfg, enricher); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := poison.IngestByClient(ctx, svc, events[half:], 64); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(svc.Close)
+		return svc
+	}
+	got, want := run(true), run(false)
+	if !reflect.DeepEqual(bMembers(got.BResult()), bMembers(want.BResult())) {
+		t.Fatal("recovered: B partition diverges")
+	}
+	// A defended restore replays the recorded decisions instead of
+	// scanning, so B's candidate-pair and link counts are path-dependent
+	// here (bcluster.Incremental.Stats); every other counter must match.
+	gs, ws := normStats(got.Stats()), normStats(want.Stats())
+	gs.B.CandidatePairs, gs.B.Links = ws.B.CandidatePairs, ws.B.Links
+	if !reflect.DeepEqual(gs, ws) {
+		t.Fatalf("recovered: stats diverge:\ngot  %+v\nwant %+v", gs, ws)
+	}
+	for _, smp := range want.Dataset().Samples() {
+		gv, _ := got.Sample(smp.MD5)
+		wv, _ := want.Sample(smp.MD5)
+		if gv.BStatus != wv.BStatus {
+			t.Fatalf("recovered: sample %s has B status %q, uninterrupted %q", smp.MD5, gv.BStatus, wv.BStatus)
+		}
+	}
+	if ws.Defense == nil || ws.Defense.ParkedTotal == 0 {
+		t.Fatal("test premise broken: the anomaly gate parked nothing")
 	}
 }

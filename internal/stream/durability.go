@@ -126,7 +126,6 @@ type checkpointFile struct {
 	// serialization — unless client tracking is on.
 	Clients       map[string]*clientLedger `json:"clients,omitempty"`
 	SampleClients map[string]string        `json:"sample_clients,omitempty"`
-	SampleGroups  map[string]string        `json:"sample_groups,omitempty"`
 }
 
 // sampleEnrichment persists the per-sample state the events cannot
@@ -501,9 +500,6 @@ func (s *Service) encodeCheckpoint(w io.Writer) error {
 		}
 		if len(s.sampleClient) > 0 {
 			o.field("sample_clients", s.sampleClient)
-		}
-		if len(s.sampleGroup) > 0 {
-			o.field("sample_groups", s.sampleGroup)
 		}
 	})
 	return o.err
@@ -979,8 +975,6 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 			return dec.Decode(&cp.Clients)
 		case "sample_clients":
 			return dec.Decode(&cp.SampleClients)
-		case "sample_groups":
-			return dec.Decode(&cp.SampleGroups)
 		}
 		// Unknown fields are ignored, as json.Unmarshal ignores them.
 		return dec.Decode(new(json.RawMessage))
@@ -1026,9 +1020,6 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 	for md5, c := range cp.SampleClients {
 		s.sampleClient[md5] = c
 	}
-	for md5, g := range cp.SampleGroups {
-		s.sampleGroup[md5] = g
-	}
 	s.applySeq = cp.Seq
 	return nil
 }
@@ -1036,7 +1027,7 @@ func (s *Service) restoreCheckpoint(dec *json.Decoder) error {
 // checkRefs refuses decoded state that no service writes: a retry entry
 // with an unknown stage, negative attempts, or a sample the pool already
 // holds; a client without a ledger; and a retry entry, quarantine entry,
-// B input, sample client or sample group that names a sample no
+// B input or sample client that names a sample no
 // checkpointed event introduced. Restored, an unknown stage or a
 // repeated sample stayed in the retry pool for good, and every later
 // Flush, which drains the pool until it is empty, spun forever; a sample
@@ -1076,11 +1067,6 @@ func (s *Service) checkRefs(cp *checkpointFile, inputs []bcluster.IncrementalInp
 	}
 	for md5 := range cp.SampleClients {
 		if err := known("sample client", md5); err != nil {
-			return err
-		}
-	}
-	for md5 := range cp.SampleGroups {
-		if err := known("sample group", md5); err != nil {
 			return err
 		}
 	}

@@ -99,9 +99,6 @@ func MarshalCheckpoint(s *Service) []byte {
 	if len(s.sampleClient) > 0 {
 		cp.SampleClients = s.sampleClient
 	}
-	if len(s.sampleGroup) > 0 {
-		cp.SampleGroups = s.sampleGroup
-	}
 	for i, d := range s.dims {
 		cp.Dims[i] = dimState{Epoch: d.epoch, BuiltLen: d.builtLen}
 	}

@@ -50,7 +50,7 @@ func sealV2(payload []byte) []byte {
 func restoreConfig(dir string) stream.Config {
 	cfg := testConfig(8)
 	cfg.Retry = stream.Retry{MaxAttempts: 3}
-	cfg.Defense = poison.DefaultDefense()
+	cfg.BCluster = poison.DefaultDefense(cfg.BCluster)
 	cfg.StatsClients = true
 	cfg.Durability = stream.Durability{Dir: dir, NoSync: true}
 	return cfg
@@ -176,7 +176,7 @@ func seedPayloads(t testing.TB) map[string][]byte {
 		},
 		"defended": {
 			cfg: func(c stream.Config) stream.Config {
-				c.Defense, c.StatsClients = poison.DefaultDefense(), true
+				c.BCluster, c.StatsClients = poison.DefaultDefense(c.BCluster), true
 				return c
 			},
 			enricher: fakeEnricher{},
@@ -287,9 +287,6 @@ func TestRestoreRefusesInvalidState(t *testing.T) {
 		{"sample client for an unknown sample", "defended", value("sample_clients", func(v string) string {
 			return replaceFirst(v, `"[^"]*":`, `"nowhere":`)
 		}), "sample client names unknown sample"},
-		{"sample group for an unknown sample", "defended", value("sample_groups", func(v string) string {
-			return replaceFirst(v, `"[^"]*":`, `"nowhere":`)
-		}), "sample group names unknown sample"},
 		{"sample set index out of range", "sets", value("samples", func(v string) string {
 			return replaceFirst(v, `"set":\d+`, `"set":99`)
 		}), "set index 99 out of range"},

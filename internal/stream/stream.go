@@ -87,11 +87,6 @@ type Config struct {
 	// degraded mode. The zero value disables all of it — Ingest then
 	// blocks on a full queue exactly as before.
 	Admission admission.Config
-	// Defense configures the online poisoning defenses (see defense.go);
-	// the knobs are forwarded into BCluster at construction. The zero
-	// value keeps the clustering byte-identical to the undefended
-	// pipeline.
-	Defense Defense
 	// StatsClients surfaces the per-client admission and provenance
 	// ledger in Stats.Clients. The ledger is maintained whenever a
 	// defense is on; this knob only controls the reporting surface.
@@ -206,12 +201,11 @@ type Service struct {
 	retryAttempts  int
 	retrySuccesses int
 
-	// Provenance (defense.go). clients and the sample-attribution maps
+	// Provenance (defense.go). clients and the sample-attribution map
 	// are guarded by mu and populated only when trackClients() — with
 	// every knob off they stay empty and the checkpoint byte-identical.
 	clients      map[string]*clientLedger
 	sampleClient map[string]string
-	sampleGroup  map[string]string
 
 	// Overload protection. The limiter and shedder are nil when their
 	// knobs are off; qDelay and waiters are lock-free so admission
@@ -281,13 +275,6 @@ type Service struct {
 // ingested events reference; events whose samples it rejects are
 // counted, kept in the event dataset, and excluded from B-clustering.
 func New(cfg Config, enricher Enricher) (*Service, error) {
-	// The defense knobs live on Config.Defense; the clusterer enforces
-	// them, so they are forwarded into its config before validation.
-	if cfg.Defense.Enabled() {
-		cfg.BCluster.MergeResistance = cfg.Defense.MergeResistance
-		cfg.BCluster.TrustPenalty = cfg.Defense.TrustPenalty
-		cfg.BCluster.GroupQuorum = cfg.Defense.DisagreeQuorum
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -362,7 +349,6 @@ func (s *Service) resetState() error {
 	s.quarantined = make(map[string]string)
 	s.clients = make(map[string]*clientLedger)
 	s.sampleClient = make(map[string]string)
-	s.sampleGroup = make(map[string]string)
 	s.events, s.rejected, s.duplicates = 0, 0, 0
 	s.executed, s.degraded = 0, 0
 	s.enrichErrors, s.staleProfiles, s.flushes = 0, 0, 0
@@ -633,7 +619,7 @@ func (s *Service) applyBatch(client string, events []dataset.Event, depth int) {
 		}
 		smp := s.ds.Sample(e.Sample.MD5)
 		if prev == nil {
-			s.noteSampleOrigin(client, e)
+			s.noteSampleOrigin(client, e.Sample.MD5)
 		}
 		if prev == nil && !seen[smp.MD5] {
 			if err := s.enricher.LabelSample(smp); err != nil {
@@ -720,7 +706,7 @@ func (s *Service) applyExecResults(samples []*dataset.Sample, outs []outcome) {
 			}
 			continue
 		}
-		if err := s.b.Add(s.defenseInput(bcluster.Input{ID: smp.MD5, Profile: outs[i].profile})); err != nil {
+		if err := s.b.Add(s.bInput(smp, outs[i].profile)); err != nil {
 			s.enrichErrors++
 			s.recordError(err.Error())
 			continue

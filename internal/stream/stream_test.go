@@ -272,7 +272,7 @@ func (dayEnricher) ExecuteSample(s *dataset.Sample) (*behavior.Profile, bool, er
 // that the cached B views equal a freshly assembled partition.
 func TestBResultCacheFollowsEveryMutation(t *testing.T) {
 	cfg := testConfig(8)
-	cfg.Defense = stream.Defense{MergeResistance: 3, DisagreeQuorum: 3}
+	cfg.BCluster.MergeResistance, cfg.BCluster.GroupQuorum = 3, 3
 	check := func(label string, svc *stream.Service) {
 		t.Helper()
 		fresh := stream.FreshBResult(svc)
